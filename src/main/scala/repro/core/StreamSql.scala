@@ -83,7 +83,6 @@ final class StreamSqlSession(val spark: SparkSession) {
   private final case class Compiled(
       baseSql: String,
       emit: EmitSpec,
-      windows: Seq[WindowTvfRewriter.AppliedWindow],
       schema: StructType,
       gates: Seq[(Int, Align)], // output ordinal -> alignment
   )
@@ -114,7 +113,7 @@ final class StreamSqlSession(val spark: SparkSession) {
     // (strict) only gate when the query exposes no window bounds.
     val bounds  = all.filter(!_._2.strict)
     val gates   = if (bounds.nonEmpty) bounds else all
-    Compiled(rewritten.sql, emit, rewritten.windows, df.schema, gates)
+    Compiled(rewritten.sql, emit, df.schema, gates)
   }
 
   private def eval(c: Compiled, p: Long): Seq[Row] = {
@@ -322,11 +321,9 @@ final class StreamSqlSession(val spark: SparkSession) {
 }
 
 object StreamSqlSession {
-  private val installed = java.util.Collections.synchronizedSet(
-    new java.util.HashSet[String]())
-
+  /** Add the Extension 2 rule to `spark`'s optimizer, once per session. */
   private def installRule(spark: SparkSession): Unit =
-    if (installed.add(System.identityHashCode(spark).toString)) {
+    if (!spark.experimental.extraOptimizations.contains(RequireEventTimeGrouping)) {
       spark.experimental.extraOptimizations =
         spark.experimental.extraOptimizations :+ RequireEventTimeGrouping
     }

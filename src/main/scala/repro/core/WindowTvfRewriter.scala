@@ -42,58 +42,65 @@ object WindowTvfRewriter {
     var text    = sql
     val applied = Vector.newBuilder[AppliedWindow]
     var guard   = 0
-    var m       = CallStart.findFirstMatchIn(text)
-    while (m.isDefined && guard < 64) {
-      val mm        = m.get
-      val kind      = mm.group(1).toLowerCase
-      val argsStart = mm.end // position just after '('
-      val argsEnd   = matchParen(text, argsStart - 1)
-      val argText   = text.substring(argsStart, argsEnd)
-      val args      = parseArgs(argText)
+    var call    = findCall(text)
+    while (call.isDefined && guard < 64) {
+      val (start, kind, argsStart) = call.get // argsStart: just after '('
+      val argsEnd = matchParen(text, argsStart - 1)
+      val args    = parseArgs(text.substring(argsStart, argsEnd))
       val (replacement, meta) = lower(kind, args)
       applied += meta
-      text = text.substring(0, mm.start) + replacement + text.substring(argsEnd + 1)
-      m = CallStart.findFirstMatchIn(text)
+      text = text.substring(0, start) + replacement + text.substring(argsEnd + 1)
+      call = findCall(text)
       guard += 1
     }
     require(guard < 64, "runaway TVF rewrite")
     Rewritten(text, applied.result())
   }
 
+  /** Indices of `s` from `from` on that lie outside '...' string
+    * literals (the quotes themselves excluded).
+    */
+  private def codeIndices(s: String, from: Int): Iterator[Int] = {
+    var inString = false
+    (from until s.length).iterator.filter { i =>
+      val quote = s.charAt(i) == '\''
+      val code  = !inString && !quote
+      if (quote) inString = !inString
+      code
+    }
+  }
+
+  /** The first TVF call outside string literals: (start, kind, index
+    * just after its '(').
+    */
+  private def findCall(s: String): Option[(Int, String, Int)] = {
+    val m = CallStart.pattern.matcher(s).useTransparentBounds(true)
+    codeIndices(s, 0).collectFirst {
+      case i if m.region(i, s.length).lookingAt() => (i, m.group(1).toLowerCase, m.end)
+    }
+  }
+
   /** Index of the ')' closing the '(' at `open` (string-literal aware). */
   private def matchParen(s: String, open: Int): Int = {
-    var depth    = 0
-    var inString = false
-    var i        = open
-    while (i < s.length) {
-      val c = s.charAt(i)
-      if (inString) { if (c == '\'') inString = false }
-      else c match {
-        case '\'' => inString = true
-        case '('  => depth += 1
-        case ')' =>
-          depth -= 1
-          if (depth == 0) return i
-        case _ => ()
+    var depth = 0
+    codeIndices(s, open).find { i =>
+      s.charAt(i) match {
+        case '(' => depth += 1; false
+        case ')' => depth -= 1; depth == 0
+        case _   => false
       }
-      i += 1
-    }
-    throw new IllegalArgumentException(s"unbalanced parentheses in TVF call: $s")
+    }.getOrElse(throw new IllegalArgumentException(s"unbalanced parentheses in TVF call: $s"))
   }
 
   /** Split `a => x, b => y` on top-level commas into a name->text map. */
   private def parseArgs(argText: String): Map[String, String] = {
-    val parts    = Vector.newBuilder[String]
-    var depth    = 0
-    var inString = false
-    var start    = 0
-    for (i <- 0 until argText.length) {
-      val c = argText.charAt(i)
-      if (inString) { if (c == '\'') inString = false }
-      else c match {
-        case '\'' => inString = true
-        case '('  => depth += 1
-        case ')'  => depth -= 1
+    val parts = Vector.newBuilder[String]
+    var depth = 0
+    var start = 0
+    codeIndices(argText, 0).foreach { i =>
+      argText.charAt(i) match {
+        case '(' => depth += 1
+        case ')' => depth -= 1
         case ',' if depth == 0 =>
           parts += argText.substring(start, i); start = i + 1
         case _ => ()

@@ -1,10 +1,11 @@
 package repro.core.expressions
 
-import org.apache.spark.sql.SparkSession
+import org.apache.spark.sql.{Column, SparkSession}
 import org.apache.spark.sql.catalyst.InternalRow
 import org.apache.spark.sql.catalyst.expressions.Expression
 import org.apache.spark.sql.catalyst.expressions.codegen.CodegenFallback
 import org.apache.spark.sql.catalyst.util.GenericArrayData
+import org.apache.spark.sql.functions.{call_function, lit}
 import org.apache.spark.sql.types._
 
 /** Native Catalyst expressions implementing the paper's event-time
@@ -134,6 +135,15 @@ case class EventTimePlus(ts: Expression, millis: Expression) extends WindowExpre
 }
 
 object WindowExpressions {
+  /** `(tumble_wstart, tumble_wend)` of `ts` (offset 0) as DataFrame
+    * columns, after registering the functions in `spark`.
+    */
+  def tumble(spark: SparkSession, ts: Column, durMs: Long): (Column, Column) = {
+    register(spark)
+    (call_function("tumble_wstart", ts, lit(durMs), lit(0L)),
+      call_function("tumble_wend", ts, lit(durMs), lit(0L)))
+  }
+
   /** Register the window expressions as SQL-callable functions in the
     * given session (idempotent).
     */

@@ -4,8 +4,6 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types.TimestampType
 
-import repro.tvr.Times
-
 /** The CQL baseline (Arasu, Babu, Widom 2003/2006) as described in the
   * paper's Sections 2.1.1 and 4: the comparator our streaming SQL is
   * evaluated against.
@@ -130,7 +128,4 @@ object Cql {
     val dropped = stream.count() - keep.count()
     (keep, dropped)
   }
-
-  /** Convenience: epoch-ms instant -> H:MM string for displays. */
-  def fmtInstant(ms: Long): String = Times.fmt(ms)
 }

@@ -1,10 +1,15 @@
 package repro.engine
 
+import java.sql.Timestamp
+
+import scala.collection.mutable
+
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types.LongType
 
-import repro.tvr.Times
+import repro.core.expressions.WindowExpressions
 
 /** Emission policy of the incremental engine — the engine-level analogue
   * of the EMIT modifiers (Extensions 4–6).
@@ -36,157 +41,114 @@ final case class EngineResult(
     maxStateWindows: Long,
     maxRetainedRows: Long,
     totalDropped: Long,
-    wallMs: Long,
 )
 
 /** A deterministic micro-batch execution engine for windowed aggregation
   * over an out-of-order stream — the scalable counterpart of the
   * reference evaluator in [[repro.core.StreamSqlSession]] and our analog
-  * of a Structured-Streaming/Flink runtime (Appendix B.2.3): operator
-  * state lives in a DataFrame, watermarks decide completeness, state for
-  * closed windows is garbage-collected, and late rows are dropped.
+  * of a Structured-Streaming/Flink runtime (Appendix B.2.3): watermarks
+  * decide completeness, state for closed windows is garbage-collected,
+  * and late rows are dropped.
   *
   * The aggregation is NEXMark Q7's: top bid (price, bidtime, item) per
   * tumbling event-time window. The input is split into `numBatches`
   * arrival-ordered micro-batches; after each batch the *perfect*
   * watermark (min event time of everything not yet arrived) advances.
+  *
+  * As in Structured Streaming, partial aggregates are computed where the
+  * rows are — one Spark query yields every (batch, window) top — and the
+  * small per-window state (top bid and input row count) is merged on the
+  * driver, batch by batch.
   */
 final class MicroBatchEngine(spark: SparkSession) {
+  import MicroBatchEngine._
 
-  /** Run over `events` (columns bidtime, price, item, ptime). */
+  /** Run over `events` (columns bidtime, price, item, ptime; price integral). */
   def run(events: DataFrame, windowMs: Long, numBatches: Int, mode: EngineMode): EngineResult = {
-    val t0 = System.nanoTime()
-
-    val withBatch = events
+    val (wstart, wend) = WindowExpressions.tumble(spark, col("bidtime"), windowMs)
+    val partials = events
       .withColumn("__batch", ntile(numBatches).over(Window.orderBy(col("ptime"), col("bidtime"))) - 1)
-      .withColumn("wstart", timestamp_millis(
-        floor(unix_millis(col("bidtime")) / windowMs) * windowMs))
-      .withColumn("wend", timestamp_millis(
-        floor(unix_millis(col("bidtime")) / windowMs) * windowMs + windowMs))
-      .persist()
-    withBatch.count() // materialize
+      .groupBy(col("__batch"), wstart.as("wstart"), wend.as("wend"))
+      .agg(
+        max(struct(col("price").cast(LongType).as("price"), col("bidtime"), col("item"))).as("top"),
+        count(lit(1)).as("rows"),
+        min(unix_millis(col("bidtime"))).as("minMs"))
+      .select("__batch", "minMs", "wstart", "wend", "top.bidtime", "top.price", "top.item", "rows")
+      .collect()
+      .map(r => Partial(r.getInt(0), r.getLong(1), WindowTop(r.getTimestamp(2), r.getTimestamp(3),
+        r.getTimestamp(4), r.getLong(5), r.getString(6), r.getLong(7))))
+      .groupBy(_.batch)
+      .withDefaultValue(Array.empty[Partial])
 
-    // Perfect watermark after each batch: (min bidtime of later batches) - 1.
-    val minsByBatch = withBatch
-      .groupBy("__batch").agg(min(unix_millis(col("bidtime"))).as("m"))
-      .collect().map(r => (r.getInt(0).toLong, r.getLong(1))).toMap
-    val wmAfter = new Array[Long](numBatches)
-    var running = Long.MaxValue / 2
-    for (b <- (numBatches - 1) to 0 by -1) {
-      wmAfter(b) = running - 1
-      running = math.min(running, minsByBatch.getOrElse(b.toLong, Long.MaxValue / 2))
-    }
+    // Perfect watermark after batch b: (min bidtime of later batches) - 1.
+    val wmAfter = (0 until numBatches)
+      .scanRight(Long.MaxValue / 2)((b, later) => partials(b).map(_.minMs).foldLeft(later)(math.min))
+      .tail.map(_ - 1)
 
-    val topCol = struct(col("price"), col("bidtime"), col("item")).as("top")
-
-    var state: DataFrame = spark.emptyDataFrame
-    var stateInitialized = false
-    val metrics   = Vector.newBuilder[BatchMetric]
-    var emittedT  = 0L
-    var droppedT  = 0L
-    var maxState  = 0L
-    var maxRetain = 0L
-    var arrived   = 0L
-    var wmPrev    = Long.MinValue
-
-    for (b <- 0 until numBatches) {
-      val batchRaw = withBatch.where(col("__batch") === b)
-      val batchN   = batchRaw.count()
-      arrived += batchN
-
+    val state   = mutable.LinkedHashMap.empty[Timestamp, WindowTop] // keyed by wstart
+    val closed  = Vector.newBuilder[WindowTop]
+    var arrived = 0L
+    var wmPrev  = Long.MinValue
+    val perBatch = (0 until numBatches).map { b =>
+      val batch = partials(b).map(_.window)
+      arrived += batch.map(_.rows).sum
       // Extension 2: inputs for already-complete groups are dropped.
-      val (batch, dropped) = mode match {
-        case EngineMode.AfterWatermark =>
-          val live = batchRaw.where(unix_millis(col("wend")) > wmPrev)
-          val d    = batchN - live.count()
-          (live, d)
-        case EngineMode.Continuous => (batchRaw, 0L)
+      val (live, late) = mode match {
+        case EngineMode.AfterWatermark => batch.partition(_.wend.getTime > wmPrev)
+        case EngineMode.Continuous     => (batch, Array.empty[WindowTop])
       }
-      droppedT += dropped
-
-      val batchAgg = batch
-        .groupBy("wstart", "wend")
-        .agg(max(struct(col("price"), col("bidtime"), col("item"))).as("top"))
-
-      // Merge into state; count windows whose top changed for emission.
-      val merged =
-        if (!stateInitialized) batchAgg.withColumn("__changed", lit(true))
-        else {
-          val s = state.select(col("wstart"), col("wend"), col("top").as("__old"))
-          s.join(batchAgg.withColumnRenamed("top", "__new"), Seq("wstart", "wend"), "full_outer")
-            .withColumn("top",
-              when(col("__new").isNull, col("__old"))
-                .when(col("__old").isNull, col("__new"))
-                .when(col("__new") > col("__old"), col("__new"))
-                .otherwise(col("__old")))
-            .withColumn("__changed", col("__old").isNull || col("top") =!= col("__old"))
-            .select(col("wstart"), col("wend"), col("top"), col("__changed"))
+      // Continuous changelog: a window's first top is one insert; each
+      // later raise is an undo of the old top plus an insert of the new.
+      var changelog = 0L
+      live.foreach { p =>
+        state.get(p.wstart) match {
+          case None =>
+            state(p.wstart) = p
+            changelog += 1
+          case Some(s) =>
+            val raised = TopOrdering.gt(p, s)
+            state(p.wstart) = (if (raised) p else s).copy(rows = s.rows + p.rows)
+            if (raised) changelog += 2
         }
-      val mergedP = merged.localCheckpoint(true)
-      stateInitialized = true
-
+      }
       val wm = wmAfter(b)
-      val (emitted, nextState) = mode match {
-        case EngineMode.Continuous =>
-          // Every changed window emits its new top (plus an undo of the
-          // previous top when one existed) — counted as changelog rows.
-          // First-ever materialization of a window has no undo row.
-          val changed = mergedP.where(col("__changed")).count()
-          val firsts =
-            if (mergedP.columns.contains("__old"))
-              mergedP.where(col("__changed") && col("__old").isNull).count()
-            else changed
-          (2 * changed - firsts, mergedP.drop("__changed", "__old", "__new"))
+      val emitted = mode match {
+        case EngineMode.Continuous => changelog
         case EngineMode.AfterWatermark =>
-          val closing = mergedP.where(unix_millis(col("wend")) <= wm)
-          val open    = mergedP.where(unix_millis(col("wend")) > wm)
-          (closing.count(), open.drop("__changed", "__old", "__new"))
+          // Emit each window once, when the watermark passes its end; GC it.
+          val done = state.values.filter(_.wend.getTime <= wm).toVector
+          closed ++= done
+          state --= done.map(_.wstart)
+          done.size.toLong
       }
-      state = nextState.localCheckpoint(true)
-      emittedT += emitted
-
-      val stateWindows = state.count()
-      val retained = mode match {
-        case EngineMode.AfterWatermark =>
-          withBatch.where(col("__batch") <= b && unix_millis(col("wend")) > wm).count()
-        case EngineMode.Continuous => arrived
-      }
-      maxState = math.max(maxState, stateWindows)
-      maxRetain = math.max(maxRetain, retained)
-      metrics += BatchMetric(b, wm, arrived, retained, stateWindows, emitted, dropped)
       wmPrev = wm
+      BatchMetric(b, wm, arrived, state.values.map(_.rows).sum, state.size.toLong,
+        emitted, late.map(_.rows).sum)
     }
 
-    // For AfterWatermark, the final output is everything emitted =
-    // closed windows' tops over non-late input; recompute it set-based
-    // for the equivalence checks. For Continuous it is the final state.
-    val finalOut = (mode match {
-      case EngineMode.Continuous => state
-      case EngineMode.AfterWatermark =>
-        // replay drops: a row is dropped if the watermark before its
-        // batch had already closed its window.
-        val wmBefore = udf((b: Int) => if (b == 0) Long.MinValue else wmAfter(b - 1))
-        withBatch
-          .where(unix_millis(col("wend")) > wmBefore(col("__batch")))
-          .groupBy("wstart", "wend")
-          .agg(max(struct(col("price"), col("bidtime"), col("item"))).as("top"))
-    }).select(
-      col("wstart"), col("wend"),
-      col("top.bidtime").as("bidtime"), col("top.price").as("price"), col("top.item").as("item"))
-
-    val res = EngineResult(
-      finalOutput = finalOut,
-      perBatch = metrics.result(),
-      totalEmitted = emittedT,
-      maxStateWindows = maxState,
-      maxRetainedRows = maxRetain,
-      totalDropped = droppedT,
-      wallMs = (System.nanoTime() - t0) / 1000000L,
+    EngineResult(
+      // AfterWatermark's emissions, or Continuous's state (it closes none).
+      finalOutput = spark.createDataFrame(closed.result() ++ state.values).drop("rows"),
+      perBatch = perBatch,
+      totalEmitted = perBatch.map(_.emitted).sum,
+      maxStateWindows = perBatch.map(_.stateWindows).foldLeft(0L)(math.max),
+      maxRetainedRows = perBatch.map(_.retainedRows).foldLeft(0L)(math.max),
+      totalDropped = perBatch.map(_.dropped).sum,
     )
-    withBatch.unpersist()
-    res
   }
+}
 
-  /** Human-readable watermark for logs. */
-  def fmtWm(ms: Long): String = if (ms <= Long.MinValue / 4) "-inf" else Times.fmt(ms)
+object MicroBatchEngine {
+  /** A window's top bid over some of its input rows, and the number of
+    * those rows (which a general, non-incremental operator must keep).
+    */
+  private final case class WindowTop(wstart: Timestamp, wend: Timestamp,
+      bidtime: Timestamp, price: Long, item: String, rows: Long)
+
+  /** Bids ordered as Spark's `max(struct(price, bidtime, item))` orders them. */
+  private val TopOrdering: Ordering[WindowTop] =
+    Ordering.by(t => (t.price, t.bidtime.toInstant, t.item))
+
+  /** One batch's aggregate of one window, with the min event time (ms) of its rows. */
+  private final case class Partial(batch: Int, minMs: Long, window: WindowTop)
 }

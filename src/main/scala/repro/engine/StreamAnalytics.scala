@@ -4,6 +4,7 @@ import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 
+import repro.core.expressions.WindowExpressions
 import repro.tvr.WatermarkTimeline
 
 /** Exact, set-based analyses of a recorded out-of-order stream.
@@ -18,10 +19,13 @@ import repro.tvr.WatermarkTimeline
   */
 object StreamAnalytics {
 
-  private def windowed(events: DataFrame, windowMs: Long): DataFrame =
+  /** Tumble `events` by bidtime: adds epoch-millisecond `wstart`/`wend`. */
+  private def windowed(events: DataFrame, windowMs: Long): DataFrame = {
+    val (wstart, wend) = WindowExpressions.tumble(events.sparkSession, col("bidtime"), windowMs)
     events
-      .withColumn("wstart", floor(unix_millis(col("bidtime")) / windowMs) * windowMs)
-      .withColumn("wend", col("wstart") + windowMs)
+      .withColumn("wstart", unix_millis(wstart))
+      .withColumn("wend", unix_millis(wend))
+  }
 
   /** The *change events* of the per-window running top bid, in arrival
     * order: the rows that strictly raise the window's max price. Under
@@ -189,8 +193,9 @@ object StreamAnalytics {
   def procTimeCorrectness(events: DataFrame, windowMs: Long): Double = {
     val truth = truthTops(events, windowMs)
       .select(col("wstart"), col("top"))
+    val (procWstart, _) = WindowExpressions.tumble(events.sparkSession, col("ptime"), windowMs)
     val proc = events
-      .withColumn("wstart", floor(unix_millis(col("ptime")) / windowMs) * windowMs)
+      .withColumn("wstart", unix_millis(procWstart))
       .groupBy("wstart")
       .agg(max(struct(col("price"), col("bidtime"), col("item"))).as("ptop"))
     val matches = truth.join(proc, Seq("wstart")).where(col("top") === col("ptop")).count()

@@ -8,39 +8,17 @@ import org.apache.spark.sql.functions._
   * A TVR snapshot is a *bag* of rows; the changelog between two snapshots
   * is their bag difference rendered as INSERT rows and retraction
   * (`undo`) rows — the paper's stream/table duality (Section 3.3.1).
-  * DataFrame variants serve the engine; driver variants serve the
-  * reference evaluator where snapshots are small and must be diffed in
-  * processing-time order.
+  * `expand` serves [[Tvr.snapshotAt]]; the driver-side bag operations
+  * serve the reference evaluator, whose snapshots are small and are
+  * diffed in processing-time order.
   */
 object Diff {
 
-  /** Collapse a bag of rows to `(dataCols..., __cnt)` with cnt >= 1. */
-  def counted(df: DataFrame, dataCols: Seq[String]): DataFrame =
-    df.groupBy(dataCols.map(col): _*).agg(count(lit(1)).as("__cnt"))
-
-  /** Expand a counted relation back to a bag. */
+  /** Expand a counted relation `(dataCols..., __cnt)` back to a bag. */
   def expand(countedDf: DataFrame): DataFrame =
     countedDf
       .withColumn("__i", explode(sequence(lit(1L), col("__cnt"))))
       .drop("__cnt", "__i")
-
-  /** Bag difference `after - before` as a changelog: the data columns plus
-    * boolean `undo` (true = row left the relation).
-    */
-  def changes(before: DataFrame, after: DataFrame): DataFrame = {
-    val cols = after.columns.toSeq
-    require(before.columns.toSeq == cols, s"schema mismatch: ${before.columns.toSeq} vs $cols")
-    val b = counted(before, cols).withColumnRenamed("__cnt", "__b")
-    val a = counted(after, cols).withColumnRenamed("__cnt", "__a")
-    val joined = b
-      .join(a, cols, "full_outer")
-      .withColumn("__delta", coalesce(col("__a"), lit(0L)) - coalesce(col("__b"), lit(0L)))
-      .where(col("__delta") =!= 0)
-    joined
-      .withColumn("__i", explode(sequence(lit(1L), abs(col("__delta")))))
-      .withColumn("undo", col("__delta") < 0)
-      .select(cols.map(col) :+ col("undo"): _*)
-  }
 
   // ------------------------------------------------------------------
   // Driver-side bag operations (reference evaluator; snapshots collected)

@@ -72,6 +72,13 @@ class WindowTvfRewriterSpec extends AnyFunSuite {
     assert(r.windows.isEmpty)
   }
 
+  test("a TVF name inside a string literal is not a call") {
+    val sql = "SELECT 'Tumble(' AS s, price FROM Bid"
+    val r   = WindowTvfRewriter.rewrite(sql)
+    assert(r.sql == sql)
+    assert(r.windows.isEmpty)
+  }
+
   test("missing required arguments are reported") {
     intercept[IllegalArgumentException] {
       WindowTvfRewriter.rewrite("SELECT * FROM Tumble(data => TABLE(Bid))")

@@ -4,6 +4,7 @@ import org.apache.spark.sql.DataFrame
 
 import repro.SparkSpec
 import repro.nexmark.NexGen
+import repro.paperexample.PaperDataset
 import repro.tvr.Times
 
 class MicroBatchEngineSpec extends SparkSpec {
@@ -84,6 +85,21 @@ class MicroBatchEngineSpec extends SparkSpec {
     val few  = engine.run(events, TenMin, numBatches = 2, EngineMode.Continuous)
     val many = engine.run(events, TenMin, numBatches = 16, EngineMode.Continuous)
     assert(many.totalEmitted >= few.totalEmitted)
+  }
+
+  test("continuous mode on the paper's six bids, one per batch, emits Listing 9's 8 rows") {
+    import spark.implicits._
+    val paperEvents = PaperDataset.arrivals
+      .map { case (p, bt, price, item) =>
+        (Times.ts(Times.hm(bt)), price.toLong, item, Times.ts(Times.hm(p)))
+      }
+      .toDF("bidtime", "price", "item", "ptime")
+    val res = engine.run(paperEvents, TenMin, numBatches = 6, EngineMode.Continuous)
+    // 8:00 window: A inserts, C and D each undo + insert (5 rows);
+    // 8:10 window: B inserts, E does not raise, F undoes + inserts (3 rows).
+    assert(res.perBatch.map(_.emitted) == Seq(1L, 1L, 2L, 2L, 0L, 2L))
+    assert(res.totalEmitted == 8L)
+    assert(res.totalEmitted == StreamAnalytics.continuousEmissions(paperEvents, TenMin))
   }
 
   test("in-order input: arrival-time batching closes windows promptly") {

@@ -1,48 +1,20 @@
 package repro.tvr
 
-import org.apache.spark.sql.Row
+import org.apache.spark.sql.{DataFrame, Row}
 
 import repro.SparkSpec
 
 class DiffSpec extends SparkSpec {
   import spark.implicits._
 
-  test("counted collapses a bag to multiplicities") {
-    val df = Seq("a", "a", "b").toDF("k")
-    val c  = Diff.counted(df, Seq("k")).collect().map(r => (r.getString(0), r.getLong(1))).toMap
-    assert(c == Map("a" -> 2L, "b" -> 1L))
-  }
+  /** `df` collapsed to `(k, __cnt)`, the input shape of `expand`. */
+  private def counted(df: DataFrame): DataFrame =
+    df.groupBy("k").count().withColumnRenamed("count", "__cnt")
 
   test("expand is the inverse of counted") {
     val df  = Seq("a", "a", "b", "c", "c", "c").toDF("k")
-    val out = Diff.expand(Diff.counted(df, Seq("k"))).collect().map(_.getString(0)).sorted
+    val out = Diff.expand(counted(df)).collect().map(_.getString(0)).sorted
     assert(out.toSeq == Seq("a", "a", "b", "c", "c", "c"))
-  }
-
-  test("changes renders bag difference as inserts and undos") {
-    val before = Seq(("a", 1), ("b", 2)).toDF("k", "v")
-    val after  = Seq(("a", 1), ("c", 3)).toDF("k", "v")
-    val ch = Diff.changes(before, after).collect()
-      .map(r => (r.getString(0), r.getInt(1), r.getBoolean(2))).toSet
-    assert(ch == Set(("b", 2, true), ("c", 3, false)))
-  }
-
-  test("changes handles multiplicity deltas") {
-    val before = Seq("a", "a", "a").toDF("k")
-    val after  = Seq("a").toDF("k")
-    val ch = Diff.changes(before, after).collect().map(r => (r.getString(0), r.getBoolean(1)))
-    assert(ch.toSeq == Seq(("a", true), ("a", true)))
-  }
-
-  test("changes of identical relations is empty") {
-    val df = Seq(1, 2, 3).toDF("v")
-    assert(Diff.changes(df, df).count() == 0)
-  }
-
-  test("changes rejects mismatched schemas") {
-    intercept[IllegalArgumentException] {
-      Diff.changes(Seq(1).toDF("a"), Seq(1).toDF("b"))
-    }
   }
 
   test("toBag groups rows by full value") {
@@ -73,21 +45,9 @@ class DiffSpec extends SparkSpec {
     assert(rebuilt == after)
   }
 
-  test("DataFrame changes agree with driver-side bagDiff") {
-    val before = Seq(("a", 1), ("a", 1), ("b", 2)).toDF("k", "v")
-    val after  = Seq(("a", 1), ("b", 2), ("b", 2), ("c", 9)).toDF("k", "v")
-    val dfCh = Diff.changes(before, after).collect()
-      .map(r => (r.toSeq.dropRight(1), r.getBoolean(2)))
-    val (ins, dels) = Diff.bagDiff(
-      Diff.toBag(before.collect().toSeq), Diff.toBag(after.collect().toSeq))
-    assert(dfCh.count(!_._2) == ins.size)
-    assert(dfCh.count(_._2) == dels.size)
-  }
-
   test("counted handles nulls as ordinary values") {
-    val df = Seq(Some("a"), None, None).toDF("k")
-    val c  = Diff.counted(df, Seq("k")).collect()
-      .map(r => (Option(r.getString(0)), r.getLong(1))).toMap
-    assert(c == Map(Some("a") -> 1L, None -> 2L))
+    val df  = Seq(Some("a"), None, None).toDF("k")
+    val out = Diff.expand(counted(df)).collect().map(r => Option(r.getString(0)))
+    assert(out.sorted.toSeq == Seq(None, None, Some("a")))
   }
 }
