@@ -4,16 +4,18 @@ import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 
+import repro.core.{EmitSpec, EmitStateMachine}
 import repro.core.expressions.WindowExpressions
 import repro.tvr.WatermarkTimeline
 
 /** Exact, set-based analyses of a recorded out-of-order stream.
   *
-  * These compute — without simulating the run event by event — the
-  * quantities the benchmarks report: how many changelog rows each EMIT
-  * policy materializes (B1), the emission latency of buffering vs
-  * watermarking (B3), and the correctness of arrival-order processing
-  * under disorder (B4). All are deterministic functions of the recorded
+  * These compute, with set-based queries (plus the evaluator's EMIT state
+  * machine run per window for AFTER DELAY), the quantities the
+  * benchmarks report: how many changelog rows each EMIT policy
+  * materializes (B1), the emission latency of watermarking (B3), and the
+  * correctness of arrival-order processing under disorder (B4). All are
+  * deterministic functions of the recorded
   * `(bidtime, price, item, ptime)` log, windowed by tumbling windows of
   * `windowMs`, with the Q7 aggregate (top bid per window).
   */
@@ -58,49 +60,23 @@ object StreamAnalytics {
   }
 
   /** Changelog volume under `EMIT STREAM AFTER DELAY d` (Extension 6):
-    * the first change to a window with no pending timer arms a timer at
-    * change-time + d; a firing timer emits the window's then-current top
-    * (1 insert, plus 1 undo if the window materialized before and the
-    * top moved). Simulated per window on the driver over the (small)
-    * change-event log.
+    * each window's change log runs through the evaluator's
+    * [[EmitStateMachine]], one tick per change ptime whose snapshot is
+    * the window's latest change, until every timer has fired.
     */
   def delayEmissions(events: DataFrame, windowMs: Long, delayMs: Long): Long = {
     val perWindow = topChanges(events, windowMs)
-      .select("wstart", "ptime")
+      .select("wstart", "ptime", "changeIdx")
       .collect()
       .groupBy(_.getLong(0))
-      .view.mapValues(_.map(_.getLong(1)).sorted.toVector).toMap
-    perWindow.valuesIterator.map(fires => emissionsForWindow(fires, delayMs)).sum
-  }
-
-  /** Count emissions for one window given its change ptimes. */
-  private def emissionsForWindow(changes: Vector[Long], delayMs: Long): Long = {
-    var emitted     = 0L
-    var materialized = false
-    var timerAt     = Long.MinValue
-    var pending     = false
-    var lastEmittedChange = -1 // index of last change reflected in output
-    var i           = 0
-    while (i < changes.length || pending) {
-      val nextChange = if (i < changes.length) changes(i) else Long.MaxValue
-      if (pending && timerAt <= nextChange) {
-        // Timer fires: emit current top (covers all changes with ptime <= timerAt).
-        emitted += (if (materialized) 2L else 1L)
-        materialized = true
-        pending = false
-        var j = lastEmittedChange + 1
-        while (j < changes.length && changes(j) <= timerAt) j += 1
-        lastEmittedChange = j - 1
-        // Changes that happened while the timer was pending but after it
-        // fires re-arm from the next change below.
-      } else {
-        if (!pending) { pending = true; timerAt = nextChange + delayMs }
-        i += 1
-        // Subsequent changes before the timer fires coalesce into it.
-        while (i < changes.length && changes(i) <= timerAt) i += 1
-      }
-    }
-    emitted
+    val emit = EmitSpec(stream = true, delayMs = Some(delayMs))
+    perWindow.valuesIterator.map { changes =>
+      val m = new EmitStateMachine(emit, keyOf = _ => Nil, complete = (_, _) => false)
+      changes.groupMapReduce(_.getLong(1))(_.getInt(2))(math.max).toSeq.sorted
+        .foreach { case (p, idx) => m.tick(p, Seq(Seq(idx))) }
+      m.finish(Long.MaxValue)
+      m.changelog.size.toLong
+    }.sum
   }
 
   /** Changelog volume under `EMIT STREAM AFTER WATERMARK` (Extension 5):
@@ -110,7 +86,7 @@ object StreamAnalytics {
     windowed(events, windowMs).select("wstart").distinct().count()
 
   // ------------------------------------------------------------------
-  // B3: emission latency — buffering (heartbeat slack) vs watermark
+  // B3: emission latency of watermark finalization
   // ------------------------------------------------------------------
 
   /** Per-window emission delay (emission ptime - wend, ms) when windows
@@ -124,21 +100,6 @@ object StreamAnalytics {
     val ok     = delays.flatten
     val mean   = if (ok.isEmpty) Double.NaN else ok.sum.toDouble / ok.size
     (mean, delays.count(_.isEmpty).toLong)
-  }
-
-  /** Per-window emission delay under STREAM-style heartbeat buffering
-    * with fixed `slackMs`: a window closes at `wend + slack`; events with
-    * arrival skew > slack would be presented after their window closed
-    * and are dropped. Returns (meanDelayMs, droppedRows).
-    */
-  def bufferLatency(events: DataFrame, windowMs: Long, slackMs: Long): (Double, Long) = {
-    val we = windowed(events, windowMs).persist()
-    val dropped = we.where(
-      unix_millis(col("ptime")) - unix_millis(col("bidtime")) > slackMs).count()
-    we.unpersist()
-    // Every window closes exactly `slack` after its end, so the mean
-    // emission delay is the slack itself.
-    (slackMs.toDouble, dropped)
   }
 
   // ------------------------------------------------------------------

@@ -6,9 +6,9 @@ import org.apache.spark.sql.types._
 
 import repro.tvr.{Times, Tvr, WatermarkTimeline}
 
-/** NEXMark-lite: a deterministic synthetic generator for the online-
-  * auction data model the paper evaluates on (Person, Auction, Bid
-  * streams and a static Category table).
+/** NEXMark-lite: a deterministic synthetic generator for the Bid stream
+  * of the online-auction data model the paper evaluates on (its auction
+  * and bidder ids range over the model's Auction and Person counts).
   *
   * Substitution note (DESIGN.md): the original NEXMark kit is
   * XMark-derived and not redistributable; this generator preserves the
@@ -62,39 +62,6 @@ object NexGen {
       timestamp_millis(unix_millis(col("bidtime")) + greatest(col("skew"), lit(0L))) as "ptime",
     )
   }
-
-  /** The auction stream (static snapshot shape; used for joins). */
-  def auctions(spark: SparkSession, sf: Double = 0.01, seed: Long = 11,
-               startMs: Long = 0L): DataFrame = {
-    val nPer = n(PersonsPerSf, sf)
-    spark.range(1, n(AuctionsPerSf, sf) + 1).select(
-      col("id")                                                  as "auction",
-      concat(lit("item-"), col("id"))                            as "itemname",
-      (rand(seed) * nPer + 1).cast(LongType)                     as "seller",
-      (rand(seed + 1) * 10 + 1).cast(LongType)                   as "category",
-      (rand(seed + 2) * 5000 + 100).cast(LongType)               as "reserve",
-      timestamp_millis(lit(startMs) + (rand(seed + 3) * 1000 * DefaultGapMs).cast(LongType))
-                                                                 as "starttime",
-    )
-  }
-
-  /** The person stream (static snapshot shape). */
-  def persons(spark: SparkSession, sf: Double = 0.01, seed: Long = 13): DataFrame =
-    spark.range(1, n(PersonsPerSf, sf) + 1).select(
-      col("id")                                                  as "person",
-      concat(lit("p"), col("id"))                                as "name",
-      element_at(
-        array(lit("seattle"), lit("knoxville"), lit("berlin"), lit("sf"), lit("amsterdam")),
-        (rand(seed) * 5 + 1).cast(IntegerType))                  as "city",
-      (rand(seed + 1) * 50 + 1).cast(LongType)                   as "state",
-    )
-
-  /** The static Category table (10 rows). */
-  def category(spark: SparkSession): DataFrame =
-    spark.range(1, 11).select(
-      col("id")                 as "category",
-      concat(lit("cat-"), col("id")) as "name",
-    )
 
   /** Driver-side arrival log `(ptimeMs, bidtimeMs)` of a bid stream. */
   def arrivalLog(bidsDf: DataFrame): Seq[(Long, Long)] =

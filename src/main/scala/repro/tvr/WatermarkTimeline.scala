@@ -32,13 +32,6 @@ final case class WatermarkTimeline(advances: Vector[(Long, Long)]) {
   def firstPtimeAtOrAbove(eventTime: Long): Option[Long] =
     advances.find(_._2 >= eventTime).map(_._1)
 
-  /** First processing time at which the watermark strictly exceeds
-    * `eventTime` — completeness instant for groupings on raw event
-    * timestamps.
-    */
-  def firstPtimeAbove(eventTime: Long): Option[Long] =
-    advances.find(_._2 > eventTime).map(_._1)
-
   /** Whether a grouping with completeness threshold `eventTime` is
     * complete at processing time `p`. `strict` selects `wm > t` (raw
     * event-time keys) over `wm >= t` (window-end keys).
@@ -52,24 +45,6 @@ final case class WatermarkTimeline(advances: Vector[(Long, Long)]) {
   def tickPtimes: Vector[Long] = advances.map(_._1).distinct
 
   def isEmpty: Boolean = advances.isEmpty
-
-  /** Pointwise minimum with another timeline — the paper's "hold back the
-    * watermark" strategy when a relation carries several event time
-    * attributes (Section 5).
-    */
-  def heldBackWith(other: WatermarkTimeline): WatermarkTimeline = {
-    val ps = (tickPtimes ++ other.tickPtimes).distinct.sorted
-    WatermarkTimeline(ps.map { p =>
-      val v = math.min(at(p), other.at(p))
-      (p, v)
-    }.filter(_._2 != Long.MinValue).toVector)
-  }
-
-  /** Shift every advance later in processing time by `slackMs` — models a
-    * heuristic watermark derived with fixed allowed lateness.
-    */
-  def delayedBy(slackMs: Long): WatermarkTimeline =
-    WatermarkTimeline(advances.map { case (p, v) => (p + slackMs, v) })
 }
 
 object WatermarkTimeline {

@@ -1,6 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.types.{LongType, StructType}
 
 import repro.SparkSpec
 import repro.paperexample.PaperDataset
@@ -131,6 +132,21 @@ class StreamSqlSessionSpec extends SparkSpec {
       s.sql("SELECT bidtime, price FROM Plain EMIT AFTER WATERMARK", Times.hm("8:21"))
     }
     assert(e.getMessage.contains("watermark-aligned"))
+  }
+
+  test("an event time column that is not a TIMESTAMP is rejected at registration") {
+    // The paper's bids with bidtime as epoch milliseconds.
+    val msSchema = StructType(PaperDataset.bidSchema.fields.map { f =>
+      if (f.name == "bidtime") f.copy(dataType = LongType) else f
+    })
+    val tvr = Tvr.ofRows(spark, msSchema,
+      PaperDataset.arrivals.map { case (p, bt, price, item) =>
+        (Times.hm(p), false, Seq[Any](Times.hm(bt), price, item))
+      }).withWatermark("bidtime", PaperDataset.watermark)
+    val e = intercept[StreamSqlAnalysisException] {
+      new StreamSqlSession(spark).registerStream("Bid", tvr)
+    }
+    assert(e.getMessage.contains("not TIMESTAMP"))
   }
 
   // ------------------------------------------------------ two event times

@@ -3,6 +3,7 @@ package repro.engine
 import org.apache.spark.sql.DataFrame
 
 import repro.SparkSpec
+import repro.core.StreamSqlSession
 import repro.nexmark.NexGen
 import repro.paperexample.PaperDataset
 import repro.tvr.Times
@@ -38,6 +39,17 @@ class StreamAnalyticsSpec extends SparkSpec {
     assert(StreamAnalytics.delayEmissions(paperEvents, TenMin, 6 * Times.MinuteMs) == 4L)
   }
 
+  test("delayEmissions equals the evaluator's AFTER DELAY changelog length on Q7") {
+    val s = new StreamSqlSession(spark)
+    s.registerStream("Bid", PaperDataset.bidTvr(spark))
+    // 90 s and 2 min timers fire between ticks (e.g. 8:09:30, 8:10).
+    Seq("'90' SECONDS" -> 90 * 1000L, "'2' MINUTES" -> 2 * Times.MinuteMs,
+        "'6' MINUTES" -> 6 * Times.MinuteMs).foreach { case (ivl, d) =>
+      val rows = s.sql(PaperDataset.q7Sql + s" EMIT STREAM AFTER DELAY INTERVAL $ivl").count()
+      assert(StreamAnalytics.delayEmissions(paperEvents, TenMin, d) == rows, s"delay $ivl")
+    }
+  }
+
   test("watermarkEmissions equals one final row per window (Listing 13)") {
     assert(StreamAnalytics.watermarkEmissions(paperEvents, TenMin) == 2L)
   }
@@ -71,12 +83,6 @@ class StreamAnalyticsSpec extends SparkSpec {
     val maxSkew = bids.selectExpr("max(unix_millis(ptime) - unix_millis(bidtime))")
       .head().getLong(0)
     assert(mean < maxSkew, "watermarking beats drop-nothing buffering on latency")
-  }
-
-  test("bufferLatency delay equals the slack and reports high-skew drops") {
-    val (mean, dropped) = StreamAnalytics.bufferLatency(paperEvents, TenMin, 2 * Times.MinuteMs)
-    assert(mean == 2 * Times.MinuteMs.toDouble)
-    assert(dropped == 3) // C (8m), D (6m), E (4m)
   }
 
   test("truthTops computes the per-window champions") {

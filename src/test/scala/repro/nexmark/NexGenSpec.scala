@@ -73,13 +73,6 @@ class NexGenSpec extends SparkSpec {
     assert(wm.advances.forall { case (p, v) => v == p - 5 * Times.MinuteMs })
   }
 
-  test("auxiliary tables have the declared shapes") {
-    assert(NexGen.auctions(spark, sf).columns.toSeq ==
-      Seq("auction", "itemname", "seller", "category", "reserve", "starttime"))
-    assert(NexGen.persons(spark, sf).columns.toSeq == Seq("person", "name", "city", "state"))
-    assert(NexGen.category(spark).count() == 10)
-  }
-
   test("bidTvr wraps the stream as an event-timed TVR") {
     val bids = NexGen.bids(spark, sf)
     val wm   = NexGen.perfectWatermark(bids, 10 * Times.MinuteMs)

@@ -27,11 +27,6 @@ class WatermarkTimelineSpec extends AnyFunSuite with PropSupport {
     assert(wm.firstPtimeAtOrAbove(Times.hm("8:30")).isEmpty)
   }
 
-  test("firstPtimeAbove is strict") {
-    assert(wm.firstPtimeAbove(Times.hm("8:05")).contains(Times.hm("8:14")))
-    assert(wm.firstPtimeAbove(Times.hm("8:20")).isEmpty)
-  }
-
   test("isComplete honors strictness") {
     val p = Times.hm("8:21")
     assert(wm.isComplete(Times.hm("8:20"), p, strict = false))
@@ -45,19 +40,6 @@ class WatermarkTimelineSpec extends AnyFunSuite with PropSupport {
     intercept[IllegalArgumentException] {
       WatermarkTimeline(Vector((20L, 10L), (10L, 20L)))
     }
-  }
-
-  test("heldBackWith is the pointwise minimum") {
-    val other = WatermarkTimeline.ofHm("8:10" -> "8:06", "8:18" -> "8:15")
-    val held  = wm.heldBackWith(other)
-    assert(held.at(Times.hm("8:15")) == Times.hm("8:06")) // min(8:08, 8:06)
-    assert(held.at(Times.hm("8:21")) == Times.hm("8:15")) // min(8:20, 8:15)
-  }
-
-  test("delayedBy shifts advances in processing time only") {
-    val d = wm.delayedBy(2 * Times.MinuteMs)
-    assert(d.at(Times.hm("8:07")) == Long.MinValue)
-    assert(d.at(Times.hm("8:09")) == Times.hm("8:05"))
   }
 
   test("perfect watermark is a valid lower bound on future event times") {
