@@ -1,6 +1,7 @@
 package repro.core
 
 import scala.collection.mutable
+import scala.jdk.CollectionConverters._
 
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.functions.col
@@ -182,8 +183,9 @@ final class StreamSqlSession(val spark: SparkSession) {
     EventTimeAlignment.outputAlignment(spark.sql(rewritten.sql).queryExecution.analyzed)
   }
 
+  /** A local relation, so collecting a result launches no Spark job. */
   private def rowsDf(rows: Seq[Row], schema: StructType): DataFrame =
-    spark.createDataFrame(spark.sparkContext.parallelize(rows, 1).toJavaRDD(), schema)
+    spark.createDataFrame(rows.asJava, schema)
 
   private def changelogDf(c: Compiled, changes: Seq[Change]): DataFrame = {
     val schema = StructType(

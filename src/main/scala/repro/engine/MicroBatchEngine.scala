@@ -3,25 +3,28 @@ package repro.engine
 import java.sql.Timestamp
 
 import scala.collection.mutable
+import scala.jdk.CollectionConverters._
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
-import org.apache.spark.sql.types.LongType
+import org.apache.spark.sql.types.{LongType, StructType}
 
+import repro.core.{EmitSpec, EmitStateMachine}
 import repro.core.expressions.WindowExpressions
+import repro.tvr.WatermarkTimeline
 
-/** Emission policy of the incremental engine — the engine-level analogue
-  * of the EMIT modifiers (Extensions 4–6).
+/** Emission policy of the incremental engine: the EMIT modifiers
+  * (Extensions 4–5) its output is materialized under.
   */
-sealed trait EngineMode
+sealed abstract class EngineMode(val emit: EmitSpec)
 object EngineMode {
-  /** Materialize every change as it happens (default changelog). */
-  case object Continuous extends EngineMode
-  /** Materialize a window once, when the watermark passes its end;
-    * drop later (late) inputs; GC state for closed windows.
+  /** `EMIT STREAM`: materialize every change as it happens. */
+  case object Continuous extends EngineMode(EmitSpec(stream = true))
+  /** `EMIT STREAM AFTER WATERMARK`: materialize a window once, when the
+    * watermark passes its end; drop later (late) inputs; GC its state.
     */
-  case object AfterWatermark extends EngineMode
+  case object AfterWatermark extends EngineMode(EmitSpec(stream = true, afterWatermark = true))
 }
 
 final case class BatchMetric(
@@ -52,13 +55,17 @@ final case class EngineResult(
   *
   * The aggregation is NEXMark Q7's: top bid (price, bidtime, item) per
   * tumbling event-time window. The input is split into `numBatches`
-  * arrival-ordered micro-batches; after each batch the *perfect*
-  * watermark (min event time of everything not yet arrived) advances.
+  * arrival-ordered micro-batches; the watermark is
+  * [[WatermarkTimeline.perfect]] over batch indices, so after batch b it
+  * is one ms below the min event time of every later batch.
   *
-  * As in Structured Streaming, partial aggregates are computed where the
-  * rows are — one Spark query yields every (batch, window) top — and the
-  * small per-window state (top bid and input row count) is merged on the
-  * driver, batch by batch.
+  * As in Structured Streaming, operators keep keyed state and one output
+  * policy decides what is emitted. Partial aggregates are computed where
+  * the rows are — one Spark query yields every (batch, window) top — and
+  * merged on the driver, batch by batch, into the open windows' state
+  * (top bid and input row count). After each batch the open windows are
+  * fed to the evaluator's [[EmitStateMachine]], keyed on (wstart, wend),
+  * which decides the changelog under `mode.emit`.
   */
 final class MicroBatchEngine(spark: SparkSession) {
   import MicroBatchEngine._
@@ -66,69 +73,49 @@ final class MicroBatchEngine(spark: SparkSession) {
   /** Run over `events` (columns bidtime, price, item, ptime; price integral). */
   def run(events: DataFrame, windowMs: Long, numBatches: Int, mode: EngineMode): EngineResult = {
     val (wstart, wend) = WindowExpressions.tumble(spark, col("bidtime"), windowMs)
-    val partials = events
+    // The first five columns are the output's: (wstart, wend, bidtime, price, item).
+    val aggregated = events
       .withColumn("__batch", ntile(numBatches).over(Window.orderBy(col("ptime"), col("bidtime"))) - 1)
       .groupBy(col("__batch"), wstart.as("wstart"), wend.as("wend"))
       .agg(
         max(struct(col("price").cast(LongType).as("price"), col("bidtime"), col("item"))).as("top"),
         count(lit(1)).as("rows"),
         min(unix_millis(col("bidtime"))).as("minMs"))
-      .select("__batch", "minMs", "wstart", "wend", "top.bidtime", "top.price", "top.item", "rows")
-      .collect()
-      .map(r => Partial(r.getInt(0), r.getLong(1), WindowTop(r.getTimestamp(2), r.getTimestamp(3),
-        r.getTimestamp(4), r.getLong(5), r.getString(6), r.getLong(7))))
-      .groupBy(_.batch)
-      .withDefaultValue(Array.empty[Partial])
+      .select("wstart", "wend", "top.bidtime", "top.price", "top.item", "__batch", "minMs", "rows")
+    val partials = aggregated.collect().map(r => Partial(r.getInt(5), r.getLong(6),
+      WindowTop(r.getTimestamp(0), r.getTimestamp(1), r.getTimestamp(2), r.getLong(3), r.getString(4),
+        r.getLong(7))))
+    val byBatch = partials.groupBy(_.batch).withDefaultValue(Array.empty[Partial])
 
-    // Perfect watermark after batch b: (min bidtime of later batches) - 1.
-    val wmAfter = (0 until numBatches)
-      .scanRight(Long.MaxValue / 2)((b, later) => partials(b).map(_.minMs).foldLeft(later)(math.min))
-      .tail.map(_ - 1)
+    val wm = WatermarkTimeline.perfect(partials.toSeq.map(p => (p.batch.toLong, p.minMs)), tickEvery = 1)
+    // Extension 2: under AFTER WATERMARK a window expires once `wm` passes
+    // its end; its state is freed and later partials for it are dropped.
+    def expired(w: WindowTop, b: Long) = mode.emit.afterWatermark && wm.isComplete(w.wend.getTime, b)
+    val machine = new EmitStateMachine(mode.emit, keyOf = _.take(2),
+      complete = (k, b) => wm.isComplete(k(1).asInstanceOf[Timestamp].getTime, b))
 
-    val state   = mutable.LinkedHashMap.empty[Timestamp, WindowTop] // keyed by wstart
-    val closed  = Vector.newBuilder[WindowTop]
+    val state   = mutable.LinkedHashMap.empty[Timestamp, WindowTop] // open windows, by wstart
     var arrived = 0L
-    var wmPrev  = Long.MinValue
     val perBatch = (0 until numBatches).map { b =>
-      val batch = partials(b).map(_.window)
+      val batch = byBatch(b).map(_.window)
       arrived += batch.map(_.rows).sum
-      // Extension 2: inputs for already-complete groups are dropped.
-      val (live, late) = mode match {
-        case EngineMode.AfterWatermark => batch.partition(_.wend.getTime > wmPrev)
-        case EngineMode.Continuous     => (batch, Array.empty[WindowTop])
-      }
-      // Continuous changelog: a window's first top is one insert; each
-      // later raise is an undo of the old top plus an insert of the new.
-      var changelog = 0L
+      val (late, live) = batch.partition(expired(_, b - 1))
       live.foreach { p =>
-        state.get(p.wstart) match {
-          case None =>
-            state(p.wstart) = p
-            changelog += 1
-          case Some(s) =>
-            val raised = TopOrdering.gt(p, s)
-            state(p.wstart) = (if (raised) p else s).copy(rows = s.rows + p.rows)
-            if (raised) changelog += 2
+        state(p.wstart) = state.get(p.wstart).fold(p) { s =>
+          (if (TopOrdering.gt(p, s)) p else s).copy(rows = s.rows + p.rows)
         }
       }
-      val wm = wmAfter(b)
-      val emitted = mode match {
-        case EngineMode.Continuous => changelog
-        case EngineMode.AfterWatermark =>
-          // Emit each window once, when the watermark passes its end; GC it.
-          val done = state.values.filter(_.wend.getTime <= wm).toVector
-          closed ++= done
-          state --= done.map(_.wstart)
-          done.size.toLong
-      }
-      wmPrev = wm
-      BatchMetric(b, wm, arrived, state.values.map(_.rows).sum, state.size.toLong,
-        emitted, late.map(_.rows).sum)
+      val before = machine.changelog.size
+      machine.tick(b, state.values.map(_.row).toSeq)
+      state.filterInPlace((_, w) => !expired(w, b))
+      BatchMetric(b, wm.at(b), arrived, state.values.map(_.rows).sum, state.size.toLong,
+        machine.changelog.size - before, late.map(_.rows).sum)
     }
 
     EngineResult(
-      // AfterWatermark's emissions, or Continuous's state (it closes none).
-      finalOutput = spark.createDataFrame(closed.result() ++ state.values).drop("rows"),
+      // A local relation, so collecting it launches no Spark job.
+      finalOutput = spark.createDataFrame(machine.table.map(Row.fromSeq).asJava,
+        StructType(aggregated.schema.take(5))),
       perBatch = perBatch,
       totalEmitted = perBatch.map(_.emitted).sum,
       maxStateWindows = perBatch.map(_.stateWindows).foldLeft(0L)(math.max),
@@ -143,7 +130,9 @@ object MicroBatchEngine {
     * those rows (which a general, non-incremental operator must keep).
     */
   private final case class WindowTop(wstart: Timestamp, wend: Timestamp,
-      bidtime: Timestamp, price: Long, item: String, rows: Long)
+      bidtime: Timestamp, price: Long, item: String, rows: Long) {
+    def row: Seq[Any] = Seq(wstart, wend, bidtime, price, item)
+  }
 
   /** Bids ordered as Spark's `max(struct(price, bidtime, item))` orders them. */
   private val TopOrdering: Ordering[WindowTop] =

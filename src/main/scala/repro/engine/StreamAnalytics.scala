@@ -11,7 +11,7 @@ import repro.tvr.WatermarkTimeline
 /** Exact, set-based analyses of a recorded out-of-order stream.
   *
   * These compute, with set-based queries (plus the evaluator's EMIT state
-  * machine run per window for AFTER DELAY), the quantities the
+  * machine run per window for B1), the quantities the
   * benchmarks report: how many changelog rows each EMIT policy
   * materializes (B1), the emission latency of watermarking (B3), and the
   * correctness of arrival-order processing under disorder (B4). All are
@@ -48,42 +48,30 @@ object StreamAnalytics {
       .select(col("wstart"), col("wend"), unix_millis(col("ptime")).as("ptime"), col("changeIdx"))
   }
 
-  /** Changelog volume under instantaneous (continuous) materialization:
-    * each change emits 1 insert + 1 undo, except a window's first change.
+  /** Changelog volume under `emit` (Extensions 4–7) of the per-window
+    * top price, i.e. Listing 6's `MAX(price)` query over `events`. Each
+    * window's change log runs through the evaluator's [[EmitStateMachine]]:
+    * one tick per change ptime, whose snapshot is the window's latest
+    * change, plus the tick at which `wm` completes the window; then every
+    * timer fires.
     */
-  def continuousEmissions(events: DataFrame, windowMs: Long): Long = {
-    val ch      = topChanges(events, windowMs).persist()
-    val changes = ch.count()
-    val windows = ch.select("wstart").distinct().count()
-    ch.unpersist()
-    2 * changes - windows
-  }
-
-  /** Changelog volume under `EMIT STREAM AFTER DELAY d` (Extension 6):
-    * each window's change log runs through the evaluator's
-    * [[EmitStateMachine]], one tick per change ptime whose snapshot is
-    * the window's latest change, until every timer has fired.
-    */
-  def delayEmissions(events: DataFrame, windowMs: Long, delayMs: Long): Long = {
+  def emissions(events: DataFrame, windowMs: Long, emit: EmitSpec, wm: WatermarkTimeline): Long = {
     val perWindow = topChanges(events, windowMs)
-      .select("wstart", "ptime", "changeIdx")
+      .select("wend", "ptime", "changeIdx")
       .collect()
       .groupBy(_.getLong(0))
-    val emit = EmitSpec(stream = true, delayMs = Some(delayMs))
-    perWindow.valuesIterator.map { changes =>
-      val m = new EmitStateMachine(emit, keyOf = _ => Nil, complete = (_, _) => false)
-      changes.groupMapReduce(_.getLong(1))(_.getInt(2))(math.max).toSeq.sorted
-        .foreach { case (p, idx) => m.tick(p, Seq(Seq(idx))) }
+    perWindow.iterator.map { case (wend, changes) =>
+      val m = new EmitStateMachine(emit, keyOf = _ => Nil, complete = (_, p) => wm.isComplete(wend, p))
+      val latest = changes.groupMapReduce(_.getLong(1))(_.getInt(2))(math.max)
+      var top    = Seq.empty[Seq[Any]]
+      (latest.keySet ++ wm.firstPtimeAtOrAbove(wend)).toSeq.sorted.foreach { p =>
+        latest.get(p).foreach(idx => top = Seq(Seq(idx)))
+        m.tick(p, top)
+      }
       m.finish(Long.MaxValue)
       m.changelog.size.toLong
     }.sum
   }
-
-  /** Changelog volume under `EMIT STREAM AFTER WATERMARK` (Extension 5):
-    * one final row per window.
-    */
-  def watermarkEmissions(events: DataFrame, windowMs: Long): Long =
-    windowed(events, windowMs).select("wstart").distinct().count()
 
   // ------------------------------------------------------------------
   // B3: emission latency of watermark finalization
@@ -112,15 +100,24 @@ object StreamAnalytics {
       .groupBy("wstart")
       .agg(max(struct(col("price"), col("bidtime"), col("item"))).as("top"))
 
-  /** Fraction of event-time windows whose final reported top bid is
-    * correct under three processing disciplines:
-    *   1.0 for watermark-based event-time processing (by construction);
-    *   `arrivalOrderCorrectness` for in-order-assumption finalization;
-    *   `procTimeCorrectness` for processing-time windowing.
+  /** Fraction of `events`' event-time windows whose top bid `tops`
+    * reports correctly; `tops` has the columns of [[truthTops]]: an
+    * epoch-ms `wstart` and a `top` struct. B4 scores three processing
+    * disciplines with it: watermark-based event-time processing (the
+    * engine's AFTER WATERMARK output), in-order-assumption finalization
+    * ([[arrivalOrderCorrectness]]) and processing-time windowing
+    * ([[procTimeCorrectness]]).
+    */
+  def fractionCorrect(tops: DataFrame, events: DataFrame, windowMs: Long): Double = {
+    val truth   = truthTops(events, windowMs).withColumnRenamed("top", "truth")
+    val matches = truth.join(tops, Seq("wstart")).where(col("top") === col("truth")).count()
+    matches.toDouble / math.max(1L, truth.count())
+  }
+
+  /** In-order assumption: a window is finalized the moment an event of a
+    * *later* window arrives; events for it arriving afterwards are lost.
     */
   def arrivalOrderCorrectness(events: DataFrame, windowMs: Long): Double = {
-    // In-order assumption: a window is finalized the moment an event of a
-    // *later* window arrives; events for it arriving afterwards are lost.
     val we = windowed(events, windowMs).persist()
     val finalizeAt = we
       .groupBy(col("wend").as("fwend"))
@@ -136,15 +133,9 @@ object StreamAnalytics {
       .where(col("c.closeP").isNull || unix_millis(col("e2.ptime")) < col("c.closeP"))
       .groupBy(col("e2.wstart").as("wstart"))
       .agg(max(struct(col("e2.price"), col("e2.bidtime"), col("e2.item"))).as("top"))
-    val truth = truthTops(we, windowMs).withColumnRenamed("top", "truthTop")
-      .withColumnRenamed("wstart", "twstart")
-    val matches = kept
-      .join(truth, col("wstart") === col("twstart"))
-      .where(col("top") === col("truthTop"))
-      .count()
-    val total = truth.count()
+    val correct = fractionCorrect(kept, we, windowMs)
     we.unpersist()
-    matches.toDouble / math.max(1L, total)
+    correct
   }
 
   /** Processing-time windowing: windows are intervals of *arrival* time;
@@ -152,14 +143,11 @@ object StreamAnalytics {
     * reproduced by the processing-time window with the same index.
     */
   def procTimeCorrectness(events: DataFrame, windowMs: Long): Double = {
-    val truth = truthTops(events, windowMs)
-      .select(col("wstart"), col("top"))
     val (procWstart, _) = WindowExpressions.tumble(events.sparkSession, col("ptime"), windowMs)
     val proc = events
       .withColumn("wstart", unix_millis(procWstart))
       .groupBy("wstart")
-      .agg(max(struct(col("price"), col("bidtime"), col("item"))).as("ptop"))
-    val matches = truth.join(proc, Seq("wstart")).where(col("top") === col("ptop")).count()
-    matches.toDouble / math.max(1L, truth.count())
+      .agg(max(struct(col("price"), col("bidtime"), col("item"))).as("top"))
+    fractionCorrect(proc, events, windowMs)
   }
 }

@@ -1,8 +1,9 @@
 package repro.experiments
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.functions.{col, struct, unix_millis}
 
-import repro.core.StreamSqlSession
+import repro.core.{EmitSpec, StreamSqlSession}
 import repro.cql.Cql
 import repro.engine.{EngineMode, MicroBatchEngine, StreamAnalytics}
 import repro.nexmark.NexGen
@@ -142,23 +143,23 @@ object Experiments {
   final case class B1Row(mode: String, emitted: Long, reductionVsContinuous: Double)
 
   /** B1 — "Torrents of updates": changelog rows materialized per EMIT
-    * policy over a NEXMark bid stream.
+    * policy over a NEXMark bid stream, under its perfect watermark.
     */
   def b1(spark: SparkSession, sf: Double,
          windowMs: Long = 10 * Times.MinuteMs,
          delays: Seq[Long] = Seq(1, 5, 10).map(_ * Times.MinuteMs)): Seq[B1Row] = {
     val ev = NexGen.bids(spark, sf).select("bidtime", "price", "item", "ptime").persist()
-    val cont = StreamAnalytics.continuousEmissions(ev, windowMs)
-    val rows = B1Row("EMIT STREAM (continuous)", cont, 1.0) +:
-      delays.map { d =>
-        val e = StreamAnalytics.delayEmissions(ev, windowMs, d)
-        B1Row(s"EMIT STREAM AFTER DELAY ${d / Times.MinuteMs} min", e, cont.toDouble / e)
-      } :+ {
-        val e = StreamAnalytics.watermarkEmissions(ev, windowMs)
-        B1Row("EMIT STREAM AFTER WATERMARK", e, cont.toDouble / e)
-      }
+    val wm = NexGen.perfectWatermark(ev, tickEveryMs = Times.MinuteMs)
+    val policies = ("EMIT STREAM (continuous)" -> EmitSpec(stream = true)) +:
+      delays.map(d => s"EMIT STREAM AFTER DELAY ${d / Times.MinuteMs} min" ->
+        EmitSpec(stream = true, delayMs = Some(d))) :+
+      ("EMIT STREAM AFTER WATERMARK" -> EmitSpec(stream = true, afterWatermark = true))
+    val counts = policies.map { case (mode, emit) =>
+      mode -> StreamAnalytics.emissions(ev, windowMs, emit, wm)
+    }
     ev.unpersist()
-    rows
+    val cont = counts.head._2
+    counts.map { case (mode, e) => B1Row(mode, e, cont.toDouble / e) }
   }
 
   def renderB1(rows: Seq[B1Row]): String =
@@ -234,12 +235,16 @@ object Experiments {
   def b4(spark: SparkSession, sf: Double,
          windowMs: Long = 10 * Times.MinuteMs,
          skews: Seq[Long] = Seq(0, 1, 2, 5, 10).map(_ * Times.MinuteMs)): Seq[B4Row] = {
+    val engine = new MicroBatchEngine(spark)
     skews.map { skew =>
       val ev = NexGen.bids(spark, sf, meanSkewMs = skew)
         .select("bidtime", "price", "item", "ptime").persist()
+      val wmTops = engine.run(ev, windowMs, 10, EngineMode.AfterWatermark).finalOutput
+        .select(unix_millis(col("wstart")).as("wstart"),
+          struct(col("price"), col("bidtime"), col("item")).as("top"))
       val row = B4Row(
         skew / Times.MinuteMs,
-        watermark = 1.0, // event-time windows + watermark: correct by construction
+        watermark = StreamAnalytics.fractionCorrect(wmTops, ev, windowMs),
         arrivalOrder = StreamAnalytics.arrivalOrderCorrectness(ev, windowMs),
         procTime = StreamAnalytics.procTimeCorrectness(ev, windowMs))
       ev.unpersist()
@@ -262,7 +267,6 @@ object Experiments {
     * DuckDB running the equivalent SQL.
     */
   def b5(spark: SparkSession, sf: Double): Seq[B5Row] = {
-    import org.apache.spark.sql.functions._
     val TenMin = 10 * Times.MinuteMs
 
     def check(name: String, ours: DataFrame, duckSql: String,

@@ -1,5 +1,7 @@
 package repro.tvr
 
+import scala.collection.Searching.{Found, InsertionPoint}
+
 /** A watermark: a monotonic function from processing time to event time
   * (paper Section 3.2.2).
   *
@@ -20,9 +22,10 @@ final case class WatermarkTimeline(advances: Vector[(Long, Long)]) {
   )
 
   /** Watermark value at processing time `p` (Long.MinValue if none yet). */
-  def at(p: Long): Long = {
-    val past = advances.takeWhile(_._1 <= p)
-    if (past.isEmpty) Long.MinValue else past.last._2
+  def at(p: Long): Long = advances.search((p, Long.MaxValue)) match {
+    case Found(_)          => Long.MaxValue // an advance (p, Long.MaxValue)
+    case InsertionPoint(0) => Long.MinValue
+    case InsertionPoint(i) => advances(i - 1)._2
   }
 
   /** First processing time at which the watermark reaches at least
@@ -61,25 +64,20 @@ object WatermarkTimeline {
     */
   def perfect(arrivals: Seq[(Long, Long)], tickEvery: Long): WatermarkTimeline = {
     if (arrivals.isEmpty) return empty
-    val sorted = arrivals.sortBy(_._1)
-    val maxP   = sorted.last._1
-    // Suffix-minimum of event times over arrival order.
+    val sorted = arrivals.sortBy(_._1).toArray
+    // Suffix minima of event times over arrival order; they only grow,
+    // so the watermark is monotone without further work.
     val suffixMin = sorted.scanRight(Long.MaxValue) { case ((_, et), acc) => math.min(et, acc) }
-    val ticks = Iterator
-      .iterate(sorted.head._1)(_ + tickEvery)
-      .takeWhile(_ <= maxP + tickEvery)
-      .toVector
-    val advances = ticks.map { p =>
-      val idx = sorted.indexWhere(_._1 > p) // first not-yet-arrived event
-      val v   = if (idx < 0) Long.MaxValue / 2 else suffixMin(idx) - 1
-      (p, v)
+    val out  = Vector.newBuilder[(Long, Long)]
+    var next = 0 // first not-yet-arrived event at tick p
+    var prev = Option.empty[Long]
+    val ticks = Iterator.iterate(sorted.head._1)(_ + tickEvery).takeWhile(_ <= sorted.last._1 + tickEvery)
+    for (p <- ticks) {
+      while (next < sorted.length && sorted(next)._1 <= p) next += 1
+      val v = if (next == sorted.length) Long.MaxValue / 2 else suffixMin(next) - 1
+      if (!prev.contains(v)) out += ((p, v)) // drop no-op repeats
+      prev = Some(v)
     }
-    // Keep monotone, drop no-op repeats.
-    val mono = advances
-      .scanLeft((Long.MinValue, Long.MinValue)) { case ((_, acc), (p, v)) => (p, math.max(acc, v)) }
-      .drop(1)
-    WatermarkTimeline(mono.foldLeft(Vector.empty[(Long, Long)]) { (out, a) =>
-      if (out.nonEmpty && out.last._2 == a._2) out else out :+ a
-    })
+    WatermarkTimeline(out.result())
   }
 }

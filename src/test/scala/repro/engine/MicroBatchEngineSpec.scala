@@ -5,7 +5,7 @@ import org.apache.spark.sql.DataFrame
 import repro.SparkSpec
 import repro.nexmark.NexGen
 import repro.paperexample.PaperDataset
-import repro.tvr.Times
+import repro.tvr.{Times, WatermarkTimeline}
 
 class MicroBatchEngineSpec extends SparkSpec {
 
@@ -76,7 +76,8 @@ class MicroBatchEngineSpec extends SparkSpec {
 
   test("micro-batching coalesces updates: engine emits no more than per-event continuous") {
     val res     = engine.run(events, TenMin, numBatches = 8, EngineMode.Continuous)
-    val perEvent = StreamAnalytics.continuousEmissions(events, TenMin)
+    val perEvent =
+      StreamAnalytics.emissions(events, TenMin, EngineMode.Continuous.emit, WatermarkTimeline.empty)
     assert(res.totalEmitted <= perEvent)
     assert(res.totalEmitted >= truth.size) // at least one insert per window
   }
@@ -99,7 +100,8 @@ class MicroBatchEngineSpec extends SparkSpec {
     // 8:10 window: B inserts, E does not raise, F undoes + inserts (3 rows).
     assert(res.perBatch.map(_.emitted) == Seq(1L, 1L, 2L, 2L, 0L, 2L))
     assert(res.totalEmitted == 8L)
-    assert(res.totalEmitted == StreamAnalytics.continuousEmissions(paperEvents, TenMin))
+    assert(res.totalEmitted ==
+      StreamAnalytics.emissions(paperEvents, TenMin, EngineMode.Continuous.emit, PaperDataset.watermark))
   }
 
   test("in-order input: arrival-time batching closes windows promptly") {

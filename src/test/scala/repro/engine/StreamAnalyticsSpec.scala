@@ -3,10 +3,10 @@ package repro.engine
 import org.apache.spark.sql.DataFrame
 
 import repro.SparkSpec
-import repro.core.StreamSqlSession
+import repro.core.{EmitClause, StreamSqlSession}
 import repro.nexmark.NexGen
 import repro.paperexample.PaperDataset
-import repro.tvr.Times
+import repro.tvr.{Times, WatermarkTimeline}
 
 class StreamAnalyticsSpec extends SparkSpec {
   import spark.implicits._
@@ -31,41 +31,64 @@ class StreamAnalyticsSpec extends SparkSpec {
       ("8:10", "8:12"), ("8:10", "8:18")))
   }
 
+  /** B1's count of `events` under the EMIT clause `emit` (e.g. "EMIT STREAM"). */
+  private def emissions(events: DataFrame, emit: String, wm: WatermarkTimeline): Long =
+    StreamAnalytics.emissions(events, TenMin, EmitClause.split(s"SELECT 1 $emit")._2, wm)
+
   test("continuousEmissions equals the Listing 9 changelog length") {
-    assert(StreamAnalytics.continuousEmissions(paperEvents, TenMin) == 8L)
+    assert(emissions(paperEvents, "EMIT STREAM", PaperDataset.watermark) == 8L)
   }
 
   test("delayEmissions(6 min) equals the Listing 14 changelog length") {
-    assert(StreamAnalytics.delayEmissions(paperEvents, TenMin, 6 * Times.MinuteMs) == 4L)
+    assert(emissions(paperEvents, "EMIT STREAM AFTER DELAY INTERVAL '6' MINUTES",
+      PaperDataset.watermark) == 4L)
   }
 
   test("delayEmissions equals the evaluator's AFTER DELAY changelog length on Q7") {
-    val s = new StreamSqlSession(spark)
-    s.registerStream("Bid", PaperDataset.bidTvr(spark))
-    // 90 s and 2 min timers fire between ticks (e.g. 8:09:30, 8:10).
-    Seq("'90' SECONDS" -> 90 * 1000L, "'2' MINUTES" -> 2 * Times.MinuteMs,
-        "'6' MINUTES" -> 6 * Times.MinuteMs).foreach { case (ivl, d) =>
-      val rows = s.sql(PaperDataset.q7Sql + s" EMIT STREAM AFTER DELAY INTERVAL $ivl").count()
-      assert(StreamAnalytics.delayEmissions(paperEvents, TenMin, d) == rows, s"delay $ivl")
+    // B1 counts Listing 6's changelog (MAX(price) per window). 90 s and
+    // 2 min timers fire between ticks (e.g. 8:09:30, 8:10).
+    val delays = Seq("'90' SECONDS", "'2' MINUTES", "'6' MINUTES")
+    val emits = Seq("EMIT STREAM", "EMIT STREAM AFTER WATERMARK") ++
+      delays.map(d => s"EMIT STREAM AFTER DELAY INTERVAL $d") :+
+      "EMIT STREAM AFTER DELAY INTERVAL '2' MINUTES AND AFTER WATERMARK"
+    // 60 bids, one per minute of event time, 3-min mean skew; under a
+    // perfect watermark and under a 2-min slack one, which drops late rows
+    // (both ticking every 2 min).
+    val nexmark = (1L to 3L).flatMap { seed =>
+      val bids = NexGen.bids(spark, sf = 0.00006, seed = seed, gapMs = Times.MinuteMs,
+        meanSkewMs = 3 * Times.MinuteMs).select("bidtime", "price", "item", "ptime").persist()
+      Seq(s"seed $seed perfect" -> NexGen.perfectWatermark(bids, 2 * Times.MinuteMs),
+          s"seed $seed slack" -> NexGen.slackWatermark(bids, 2 * Times.MinuteMs, 2 * Times.MinuteMs))
+        .map { case (name, wm) => (name, bids, wm) }
+    }
+    (("paper", paperEvents, PaperDataset.watermark) +: nexmark).foreach { case (name, events, wm) =>
+      val s = new StreamSqlSession(spark)
+      s.registerStream("Bid", NexGen.bidTvr(events, wm))
+      emits.foreach { emit =>
+        val rows = s.sql(PaperDataset.tumbleGroupSql + " " + emit).count()
+        assert(emissions(events, emit, wm) == rows, s"$name: $emit")
+      }
     }
   }
 
   test("watermarkEmissions equals one final row per window (Listing 13)") {
-    assert(StreamAnalytics.watermarkEmissions(paperEvents, TenMin) == 2L)
+    assert(emissions(paperEvents, "EMIT STREAM AFTER WATERMARK", PaperDataset.watermark) == 2L)
   }
 
   test("delay 0 collapses to continuous; huge delay collapses to one emission per window") {
-    val zero = StreamAnalytics.delayEmissions(paperEvents, TenMin, 0L)
-    assert(zero == StreamAnalytics.continuousEmissions(paperEvents, TenMin))
-    val huge = StreamAnalytics.delayEmissions(paperEvents, TenMin, Times.DayMs)
-    assert(huge == StreamAnalytics.watermarkEmissions(paperEvents, TenMin))
+    val wm   = PaperDataset.watermark
+    val zero = emissions(paperEvents, "EMIT STREAM AFTER DELAY INTERVAL '0' MINUTES", wm)
+    assert(zero == emissions(paperEvents, "EMIT STREAM", wm))
+    val huge = emissions(paperEvents, "EMIT STREAM AFTER DELAY INTERVAL '1' DAY", wm)
+    assert(huge == emissions(paperEvents, "EMIT STREAM AFTER WATERMARK", wm))
   }
 
   test("emission volumes are ordered: watermark <= delay <= continuous") {
     val ev = NexGen.bids(spark, 0.002).select("bidtime", "price", "item", "ptime")
-    val c  = StreamAnalytics.continuousEmissions(ev, TenMin)
-    val d  = StreamAnalytics.delayEmissions(ev, TenMin, 5 * Times.MinuteMs)
-    val w  = StreamAnalytics.watermarkEmissions(ev, TenMin)
+    val wm = NexGen.perfectWatermark(ev, Times.MinuteMs)
+    val c  = emissions(ev, "EMIT STREAM", wm)
+    val d  = emissions(ev, "EMIT STREAM AFTER DELAY INTERVAL '5' MINUTES", wm)
+    val w  = emissions(ev, "EMIT STREAM AFTER WATERMARK", wm)
     assert(w <= d && d <= c, s"expected $w <= $d <= $c")
   }
 

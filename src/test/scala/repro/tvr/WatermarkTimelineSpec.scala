@@ -54,6 +54,36 @@ class WatermarkTimelineSpec extends AnyFunSuite with PropSupport {
     }, minTests = 50)
   }
 
+  test("perfect watermark is tight: one ms below the min event time still to arrive") {
+    val gen = for {
+      n        <- Gen.choose(1, 60)
+      arrivals <- Gen.listOfN(n, Gen.zip(Gen.choose(0L, 10000L), Gen.choose(0L, 10000L)))
+      tick     <- Gen.choose(1L, 3000L)
+    } yield (arrivals, tick)
+    checkProp(Prop.forAll(gen) { case (arrivals, tick) =>
+      WatermarkTimeline.perfect(arrivals, tick).advances.forall { case (p, v) =>
+        val later = arrivals.collect { case (q, et) if q > p => et }
+        v == (if (later.isEmpty) Long.MaxValue / 2 else later.min - 1)
+      }
+    }, minTests = 200)
+  }
+
+  test("at equals a linear scan of the advances") {
+    def scan(w: WatermarkTimeline, p: Long) =
+      w.advances.takeWhile(_._1 <= p).lastOption.fold(Long.MinValue)(_._2)
+    // Monotone timelines with repeated ptimes and values, up to Long.MaxValue.
+    val gen = for {
+      n  <- Gen.choose(0, 20)
+      ps <- Gen.listOfN(n, Gen.choose(0L, 50L))
+      vs <- Gen.listOfN(n, Gen.oneOf(Gen.choose(0L, 50L), Gen.const(Long.MaxValue)))
+    } yield WatermarkTimeline(ps.sorted.zip(vs.sorted).toVector)
+    checkProp(Prop.forAll(gen) { w =>
+      (-1L to 51L).forall(p => w.at(p) == scan(w, p))
+    }, minTests = 200)
+    val perfect = WatermarkTimeline.perfect(Seq((100L, 900L), (200L, 50L), (300L, 2000L)), 70L)
+    assert((0L to 500L).forall(p => perfect.at(p) == scan(perfect, p)))
+  }
+
   test("perfect watermark is monotone by construction") {
     val arrivals = Seq((100L, 900L), (200L, 50L), (300L, 2000L), (400L, 1500L))
     val w        = WatermarkTimeline.perfect(arrivals, 100L)
