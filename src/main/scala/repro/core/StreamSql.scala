@@ -3,8 +3,9 @@ package repro.core
 import scala.collection.mutable
 import scala.jdk.CollectionConverters._
 
-import org.apache.spark.sql.{DataFrame, Row, SparkSession}
-import org.apache.spark.sql.functions.col
+import org.apache.spark.sql.{DataFrame, PlanFrames, Row, SparkSession}
+import org.apache.spark.sql.catalyst.analysis.MultiInstanceRelation
+import org.apache.spark.sql.catalyst.plans.logical.{LogicalPlan, View}
 import org.apache.spark.sql.types._
 
 import repro.core.EventTimeAlignment.Align
@@ -16,20 +17,24 @@ import repro.tvr.{Times, Tvr}
   * modifiers of Section 6.5.
   *
   * This is the *reference evaluator*: semantics first. The result TVR is
-  * re-evaluated (pointwise, per Section 3.1) once at every tick — every
-  * processing time at which any input changes or any watermark advances —
-  * and the snapshots are fed to an [[EmitStateMachine]], which diffs each
-  * event-time group's rows into the changelog as the EMIT modifiers
-  * direct; with no modifier that is exactly the paper's definition of
-  * the stream rendering of a TVR. It is correct by construction and used
-  * to pin down every listing in the paper; [[repro.engine.MicroBatchEngine]]
-  * is the scalable incremental counterpart benchmarked against it.
+  * evaluated pointwise (Section 3.1) at every tick — every processing
+  * time at which an input the query reads changes or its watermark
+  * advances. One Spark query computes all those snapshots at once: the
+  * query is lifted over a tick dimension ([[TickLifting]]) and run over
+  * each input's snapshots at every tick ([[Tvr.snapshotsAt]]). The
+  * snapshots are fed, tick by tick, to an [[EmitStateMachine]], which
+  * diffs each event-time group's rows into the changelog as the EMIT
+  * modifiers direct; with no modifier that is exactly the paper's
+  * definition of the stream rendering of a TVR. It pins down every
+  * listing in the paper; [[repro.engine.MicroBatchEngine]] is the
+  * incremental counterpart benchmarked against it.
   *
   * Responsibilities:
   *   - registry of named TVRs (streams are unbounded append-only TVRs,
   *     tables are degenerate static TVRs);
   *   - EMIT parsing ([[EmitClause]]) and windowing-TVF lowering
   *     ([[WindowTvfRewriter]]);
+  *   - lifting the query over ticks ([[TickLifting]]);
   *   - watermark-alignment analysis of the compiled plan
   *     ([[EventTimeAlignment]]) to find the output's completeness gates;
   *   - Extension 2 validation ([[RequireEventTimeGrouping]], injected via
@@ -42,25 +47,26 @@ final class StreamSqlSession(val spark: SparkSession) {
 
   // Tick ptimes are computed from the unstamped changelog at
   // registration: the bookkeeping DISTINCT would otherwise itself trip
-  // Extension 2's rule on the stamped (unbounded-marked) relation.
-  private final case class Registered(tvr: Tvr, unbounded: Boolean, tickPtimes: Seq[Long])
+  // Extension 2's rule on the stamped (unbounded-marked) relation. A
+  // static table has the same snapshot at every tick, so it is not lifted.
+  private final case class Registered(tvr: Tvr, static: Boolean, tickPtimes: Seq[Long])
   private val tvrs = mutable.LinkedHashMap.empty[String, Registered]
 
   /** Register an unbounded stream (append-only TVR, usually with an
     * event-time column and watermark).
     */
   def registerStream(name: String, tvr: Tvr): Unit =
-    tvrs(name) = Registered(stamp(name, tvr, unbounded = true), unbounded = true, tvr.tickPtimes)
+    tvrs(name) = Registered(stamp(name, tvr, unbounded = true), static = false, tvr.tickPtimes)
 
   /** Register a classic (bounded, static) table. */
   def registerTable(name: String, df: DataFrame): Unit = {
     val t = Tvr.fromStatic(df)
-    tvrs(name) = Registered(t, unbounded = false, t.tickPtimes)
+    tvrs(name) = Registered(t, static = true, t.tickPtimes)
   }
 
   /** Register a bounded TVR (e.g. a recorded stream replayed as a table). */
   def registerBoundedTvr(name: String, tvr: Tvr): Unit =
-    tvrs(name) = Registered(stamp(name, tvr, unbounded = false), unbounded = false, tvr.tickPtimes)
+    tvrs(name) = Registered(stamp(name, tvr, unbounded = false), static = false, tvr.tickPtimes)
 
   /** Stamp alignment metadata into the changelog's *leaf schema*: every
     * attribute derived from it then carries the marker natively, which —
@@ -86,11 +92,15 @@ final class StreamSqlSession(val spark: SparkSession) {
 
   // ------------------------------------------------------------------
 
+  /** A query ready to run: `lifted` computes its result snapshot at every
+    * one of `ticks`, as the result columns followed by the tick.
+    */
   private final case class Compiled(
-      baseSql: String,
       emit: EmitSpec,
       schema: StructType,
       gates: Seq[(Int, Align)], // output ordinal -> alignment
+      ticks: Seq[Long],
+      lifted: DataFrame,
   )
 
   /** Late-bound per-group key: the gate column values (the event-time
@@ -99,32 +109,52 @@ final class StreamSqlSession(val spark: SparkSession) {
   private def groupKey(c: Compiled, row: Seq[Any]): Seq[Any] =
     if (c.gates.isEmpty) row else c.gates.map { case (i, _) => row(i) }
 
-  private def registerSnapshotViews(p: Long): Unit =
-    tvrs.foreach { case (name, Registered(tvr, _, _)) =>
+  /** Register one view per TVR for analysis. A static table's view is its
+    * contents; a time-varying relation's stands in for its snapshots,
+    * which [[TickLifting]] puts in its place.
+    */
+  private def registerViews(): Unit =
+    tvrs.foreach { case (name, r) =>
       // Alignment metadata was stamped into the changelog leaf schema at
       // registration and flows through the snapshot derivation.
-      tvr.snapshotAt(p).createOrReplaceTempView(name)
+      (if (r.static) r.tvr.snapshot else r.tvr.snapshotAt(Long.MinValue / 2)).createOrReplaceTempView(name)
     }
 
-  private def compile(sqlText: String): Compiled = {
+  /** The registered TVR a view reads, by name. */
+  private def tvrOf(v: View): Option[Registered] =
+    if (!v.isTempView) None
+    else tvrs.collectFirst { case (name, r) if name.equalsIgnoreCase(v.desc.identifier.table) => r }
+
+  private def analyze(sqlText: String): (EmitSpec, LogicalPlan) = {
     val (noEmit, emit) = EmitClause.split(sqlText)
-    val rewritten      = WindowTvfRewriter.rewrite(noEmit)
-    // Analyze once (views at epoch) for schema + gate discovery.
-    registerSnapshotViews(Long.MinValue / 2)
-    val df      = spark.sql(rewritten.sql)
-    val aligns  = EventTimeAlignment.analyze(df.queryExecution.analyzed)
-    val out     = df.queryExecution.analyzed.output
-    val all     = out.zipWithIndex.flatMap { case (a, i) => aligns.get(a.exprId).map(i -> _) }
+    registerViews()
+    (emit, spark.sql(WindowTvfRewriter.rewrite(noEmit).sql).queryExecution.analyzed)
+  }
+
+  private def compile(sqlText: String, now: Long): Compiled = {
+    val (emit, plan) = analyze(sqlText)
+    val aligns  = EventTimeAlignment.analyze(plan)
+    val all     = plan.output.zipWithIndex.flatMap { case (a, i) => aligns.get(a.exprId).map(i -> _) }
     // Window bounds (non-strict) gate completeness; raw event-time keys
     // (strict) only gate when the query exposes no window bounds.
     val bounds  = all.filter(!_._2.strict)
     val gates   = if (bounds.nonEmpty) bounds else all
-    Compiled(rewritten.sql, emit, df.schema, gates)
-  }
-
-  private def eval(c: Compiled, p: Long): Seq[Row] = {
-    registerSnapshotViews(p)
-    spark.sql(c.baseSql).collect().toSeq
+    // The table rendering is the snapshot at `now`; the stream rendering
+    // needs every tick of the TVRs the query reads.
+    val ticks =
+      if (emit.isDefaultTable) Seq(now)
+      else plan.collect { case v: View => tvrOf(v) }.flatten.flatMap(_.tickPtimes).distinct.sorted.filter(_ <= now)
+    // Each view of a time-varying relation becomes its own fresh ticked
+    // relation, so a self-join's two sides share no attribute.
+    def ticked(v: View) = tvrOf(v).filter(!_.static).map { r =>
+      r.tvr.snapshotsAt(ticks).queryExecution.analyzed.transformUpWithNewOutput {
+        case leaf: MultiInstanceRelation =>
+          val fresh = leaf.newInstance()
+          (fresh, leaf.output.zip(fresh.output))
+      }
+    }
+    val lifted = PlanFrames.ofPlan(spark, TickLifting.lift(plan, ticks, ticked))
+    Compiled(emit, plan.schema, gates, ticks, lifted)
   }
 
   private def wmOf(source: String) =
@@ -143,10 +173,6 @@ final class StreamSqlSession(val spark: SparkSession) {
       case _ => false
     }
 
-  /** All ticks (input changes and watermark advances), ascending, <= now. */
-  private def ticks(now: Long): Seq[Long] =
-    tvrs.values.flatMap(_.tickPtimes).toSeq.distinct.sorted.filter(_ <= now)
-
   // ------------------------------------------------------------------
   // Public API
   // ------------------------------------------------------------------
@@ -158,17 +184,20 @@ final class StreamSqlSession(val spark: SparkSession) {
     * rendering with `undo`, `ptime`, `ver` columns (Extension 4).
     */
   def sql(sqlText: String, now: Long = Long.MaxValue / 2): DataFrame = {
-    val c = compile(sqlText)
-    if (c.emit.isDefaultTable) rowsDf(eval(c, now), c.schema)
+    val c = compile(sqlText, now)
+    if (c.emit.afterWatermark && c.gates.isEmpty)
+      throw new StreamSqlAnalysisException(
+        "EMIT AFTER WATERMARK requires a watermark-aligned event-time column " +
+          "in the query output (none found by alignment analysis)")
+    // One query computes every tick's snapshot, the tick in the last column.
+    val byTick = c.lifted.collect().groupBy(r => r.getLong(r.length - 1))
+    def snapshot(p: Long): Seq[Seq[Any]] = byTick.getOrElse(p, Array.empty[Row]).toSeq.map(_.toSeq.init)
+    if (c.emit.isDefaultTable) rowsDf(snapshot(now).map(Row.fromSeq), c.schema)
     else {
-      if (c.emit.afterWatermark && c.gates.isEmpty)
-        throw new StreamSqlAnalysisException(
-          "EMIT AFTER WATERMARK requires a watermark-aligned event-time column " +
-            "in the query output (none found by alignment analysis)")
-      // The query runs once per tick; the state machine does the rest
-      // (Extensions 4–7; DESIGN.md "Semantics pinned down").
+      // The state machine does the rest (Extensions 4–7; DESIGN.md
+      // "Semantics pinned down").
       val m = new EmitStateMachine(c.emit, groupKey(c, _), groupComplete(c, _, _))
-      ticks(now).foreach(p => m.tick(p, eval(c, p).map(_.toSeq)))
+      c.ticks.foreach(p => m.tick(p, snapshot(p)))
       m.finish(now)
       if (c.emit.stream) changelogDf(c, m.changelog)
       else rowsDf(m.table.map(Row.fromSeq), c.schema)
@@ -176,12 +205,8 @@ final class StreamSqlSession(val spark: SparkSession) {
   }
 
   /** The output alignment of a query's plan, for inspection/tests. */
-  def alignmentOf(sqlText: String): Seq[(String, Align)] = {
-    val (noEmit, _) = EmitClause.split(sqlText)
-    val rewritten   = WindowTvfRewriter.rewrite(noEmit)
-    registerSnapshotViews(Long.MinValue / 2)
-    EventTimeAlignment.outputAlignment(spark.sql(rewritten.sql).queryExecution.analyzed)
-  }
+  def alignmentOf(sqlText: String): Seq[(String, Align)] =
+    EventTimeAlignment.outputAlignment(analyze(sqlText)._2)
 
   /** A local relation, so collecting a result launches no Spark job. */
   private def rowsDf(rows: Seq[Row], schema: StructType): DataFrame =

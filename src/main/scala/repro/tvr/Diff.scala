@@ -8,7 +8,7 @@ import org.apache.spark.sql.functions._
   * A TVR snapshot is a *bag* of rows; the changelog between two snapshots
   * is their bag difference rendered as INSERT rows and retraction
   * (`undo`) rows — the paper's stream/table duality (Section 3.3.1).
-  * `expand` serves [[Tvr.snapshotAt]]; the driver-side bag operations
+  * `expand` serves [[Tvr.snapshotsAt]]; the driver-side bag operations
   * serve the reference evaluator, whose snapshots are small and are
   * diffed in processing-time order.
   */

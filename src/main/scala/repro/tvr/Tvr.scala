@@ -2,7 +2,7 @@ package repro.tvr
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
-import org.apache.spark.sql.types.{BooleanType, TimestampType}
+import org.apache.spark.sql.types.{BooleanType, Metadata, MetadataBuilder, TimestampType}
 
 /** Event-time metadata for one column of a relation (paper Extension 1):
   * the column holds `TIMESTAMP` values and carries an associated
@@ -39,22 +39,30 @@ final case class Tvr(
   def dataColumns: Seq[String] =
     changelog.columns.toSeq.filterNot(c => c == PtimeCol || c == UndoCol)
 
-  /** Point-in-time view: the classic relation at processing time `p`.
+  /** The snapshots at every tick in `ticks`, in one relation: the data
+    * columns plus `__tick`, the tick (epoch ms) whose snapshot a row
+    * belongs to.
     *
-    * Implemented as a single groupBy (net multiplicity = inserts minus
-    * retractions) rather than a join, so the data columns' attribute
-    * metadata — which carries event-time/watermark alignment — flows
-    * through unchanged.
+    * Each changelog row is replicated to every tick at or after its
+    * `__ptime`; one groupBy on the data columns and the tick then nets
+    * inserts against retractions. A groupBy rather than a join, so the
+    * data columns' attribute metadata, which carries event-time and
+    * watermark alignment, flows through unchanged.
     */
-  def snapshotAt(p: Long): DataFrame = {
-    val upTo = changelog.where(unix_millis(col(PtimeCol)) <= p)
+  def snapshotsAt(ticks: Seq[Long]): DataFrame = {
+    val ticked = changelog
+      .withColumn(TickCol, explode(filter(typedLit(ticks), t => t >= unix_millis(col(PtimeCol)))))
+      .withMetadata(TickCol, TickMetadata)
     Diff.expand(
-      upTo
-        .groupBy(dataColumns.map(col): _*)
+      ticked
+        .groupBy((dataColumns :+ TickCol).map(col): _*)
         .agg(sum(when(col(UndoCol), -1L).otherwise(1L)).as("__cnt"))
         .where(col("__cnt") > 0)
     )
   }
+
+  /** Point-in-time view: the classic relation at processing time `p`. */
+  def snapshotAt(p: Long): DataFrame = snapshotsAt(Seq(p)).drop(TickCol)
 
   /** The final snapshot (all changes applied). */
   def snapshot: DataFrame = snapshotAt(Long.MaxValue / 2)
@@ -82,6 +90,13 @@ final case class Tvr(
 object Tvr {
   val PtimeCol = "__ptime"
   val UndoCol  = "__undo"
+  val TickCol  = "__tick"
+
+  /** Marks the `__tick` column of [[Tvr.snapshotsAt]] (and every tick
+    * attribute derived from it), so rules can tell it from data.
+    */
+  val TickKey = "repro.tick"
+  val TickMetadata: Metadata = new MetadataBuilder().putBoolean(TickKey, true).build()
 
   /** Wrap a static DataFrame as a TVR (single snapshot at epoch 0). */
   def fromStatic(df: DataFrame): Tvr = Tvr(

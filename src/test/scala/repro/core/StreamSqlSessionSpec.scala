@@ -59,6 +59,20 @@ class StreamSqlSessionSpec extends SparkSpec {
     assert(rows(df) == Seq(Seq("3"))) // A, B, C arrived by 8:14
   }
 
+  test("a global COUNT(*) streams its row at every tick, before any input too") {
+    val df = newSession.sql("SELECT COUNT(*) AS n FROM Bid EMIT STREAM", Times.hm("8:21"))
+    // The 8:07 watermark tick precedes the first bid: n = 0 is a row.
+    assert(rows(df) == Seq(
+      Seq("0", "false", "8:07", "0"),
+      Seq("1", "false", "8:08", "0"), Seq("0", "true", "8:08", "1"),
+      Seq("2", "false", "8:12", "0"), Seq("1", "true", "8:12", "1"),
+      Seq("3", "false", "8:13", "0"), Seq("2", "true", "8:13", "1"),
+      Seq("4", "false", "8:15", "0"), Seq("3", "true", "8:15", "1"),
+      Seq("5", "false", "8:17", "0"), Seq("4", "true", "8:17", "1"),
+      Seq("6", "false", "8:18", "0"), Seq("5", "true", "8:18", "1"),
+    ))
+  }
+
   // ------------------------------------------------------ Extension 7
 
   test("Extension 7: EMIT STREAM AFTER DELAY 2 min AND AFTER WATERMARK") {
@@ -149,6 +163,15 @@ class StreamSqlSessionSpec extends SparkSpec {
     assert(e.getMessage.contains("not TIMESTAMP"))
   }
 
+  test("an operator that cannot be lifted over ticks fails inside sql()") {
+    for ((sql, what) <- Seq(
+        "SELECT item FROM Bid LIMIT 1 EMIT STREAM" -> "Limit",
+        "SELECT item FROM Bid WHERE price > (SELECT MIN(price) FROM Bid) EMIT STREAM" -> "subquery")) {
+      val e = intercept[StreamSqlAnalysisException](newSession.sql(sql, Times.hm("8:21")))
+      assert(e.getMessage.contains(what), e.getMessage)
+    }
+  }
+
   // ------------------------------------------------------ two event times
 
   test("joining two streams holds back completeness to the slower watermark") {
@@ -172,6 +195,19 @@ class StreamSqlSessionSpec extends SparkSpec {
     // 8:04 < 8:10): rows gated on *both* wends stay unmaterialized.
     val df = s.sql(sql, Times.hm("8:21"))
     assert(df.count() == 0)
+  }
+
+  test("a query over Bid alone is unchanged by registering another stream") {
+    val sql = PaperDataset.q7Sql + " EMIT STREAM AFTER DELAY INTERVAL '2' MINUTE AND AFTER WATERMARK"
+    val alone = rows(newSession.sql(sql, Times.hm("8:21")))
+    // Ask changes and advances its watermark at ptimes Bid never ticks at.
+    val ask = Tvr.ofRows(spark, PaperDataset.bidSchema, Seq(
+      (Times.hm("8:09"), false, Seq[Any](Times.ts(Times.hm("8:03")), 1, "X")),
+      (Times.hm("8:19"), false, Seq[Any](Times.ts(Times.hm("8:11")), 2, "Y")),
+    )).withWatermark("bidtime", WatermarkTimeline.ofHm("8:10" -> "8:02", "8:20" -> "8:11"))
+    val s = newSession
+    s.registerStream("Ask", ask)
+    assert(rows(s.sql(sql, Times.hm("8:21"))) == alone)
   }
 
   // ------------------------------------------------------ rule installation
