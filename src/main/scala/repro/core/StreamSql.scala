@@ -5,6 +5,7 @@ import scala.jdk.CollectionConverters._
 
 import org.apache.spark.sql.{DataFrame, PlanFrames, Row, SparkSession}
 import org.apache.spark.sql.catalyst.analysis.MultiInstanceRelation
+import org.apache.spark.sql.catalyst.optimizer.InlineCTE
 import org.apache.spark.sql.catalyst.plans.logical.{LogicalPlan, View}
 import org.apache.spark.sql.types._
 
@@ -47,26 +48,25 @@ final class StreamSqlSession(val spark: SparkSession) {
 
   // Tick ptimes are computed from the unstamped changelog at
   // registration: the bookkeeping DISTINCT would otherwise itself trip
-  // Extension 2's rule on the stamped (unbounded-marked) relation. A
-  // static table has the same snapshot at every tick, so it is not lifted.
-  private final case class Registered(tvr: Tvr, static: Boolean, tickPtimes: Seq[Long])
+  // Extension 2's rule on the stamped (unbounded-marked) relation.
+  private final case class Registered(tvr: Tvr, tickPtimes: Seq[Long])
   private val tvrs = mutable.LinkedHashMap.empty[String, Registered]
 
   /** Register an unbounded stream (append-only TVR, usually with an
     * event-time column and watermark).
     */
   def registerStream(name: String, tvr: Tvr): Unit =
-    tvrs(name) = Registered(stamp(name, tvr, unbounded = true), static = false, tvr.tickPtimes)
+    tvrs(name) = Registered(stamp(name, tvr, unbounded = true), tvr.tickPtimes)
 
   /** Register a classic (bounded, static) table. */
   def registerTable(name: String, df: DataFrame): Unit = {
     val t = Tvr.fromStatic(df)
-    tvrs(name) = Registered(t, static = true, t.tickPtimes)
+    tvrs(name) = Registered(t, t.tickPtimes)
   }
 
   /** Register a bounded TVR (e.g. a recorded stream replayed as a table). */
   def registerBoundedTvr(name: String, tvr: Tvr): Unit =
-    tvrs(name) = Registered(stamp(name, tvr, unbounded = false), static = false, tvr.tickPtimes)
+    tvrs(name) = Registered(stamp(name, tvr, unbounded = false), tvr.tickPtimes)
 
   /** Stamp alignment metadata into the changelog's *leaf schema*: every
     * attribute derived from it then carries the marker natively, which —
@@ -109,15 +109,14 @@ final class StreamSqlSession(val spark: SparkSession) {
   private def groupKey(c: Compiled, row: Seq[Any]): Seq[Any] =
     if (c.gates.isEmpty) row else c.gates.map { case (i, _) => row(i) }
 
-  /** Register one view per TVR for analysis. A static table's view is its
-    * contents; a time-varying relation's stands in for its snapshots,
-    * which [[TickLifting]] puts in its place.
+  /** Register one view per TVR for analysis. It stands in for the TVR's
+    * snapshots, which [[TickLifting]] puts in its place.
     */
   private def registerViews(): Unit =
     tvrs.foreach { case (name, r) =>
       // Alignment metadata was stamped into the changelog leaf schema at
       // registration and flows through the snapshot derivation.
-      (if (r.static) r.tvr.snapshot else r.tvr.snapshotAt(Long.MinValue / 2)).createOrReplaceTempView(name)
+      r.tvr.snapshotAt(Long.MinValue / 2).createOrReplaceTempView(name)
     }
 
   /** The registered TVR a view reads, by name. */
@@ -128,7 +127,8 @@ final class StreamSqlSession(val spark: SparkSession) {
   private def analyze(sqlText: String): (EmitSpec, LogicalPlan) = {
     val (noEmit, emit) = EmitClause.split(sqlText)
     registerViews()
-    (emit, spark.sql(WindowTvfRewriter.rewrite(noEmit).sql).queryExecution.analyzed)
+    // CTEs are inlined, so the lifting meets every view a reference reads.
+    (emit, InlineCTE(alwaysInline = true)(spark.sql(WindowTvfRewriter.rewrite(noEmit).sql).queryExecution.analyzed))
   }
 
   private def compile(sqlText: String, now: Long): Compiled = {
@@ -144,9 +144,9 @@ final class StreamSqlSession(val spark: SparkSession) {
     val ticks =
       if (emit.isDefaultTable) Seq(now)
       else plan.collect { case v: View => tvrOf(v) }.flatten.flatMap(_.tickPtimes).distinct.sorted.filter(_ <= now)
-    // Each view of a time-varying relation becomes its own fresh ticked
-    // relation, so a self-join's two sides share no attribute.
-    def ticked(v: View) = tvrOf(v).filter(!_.static).map { r =>
+    // Each view of a registered TVR becomes its own fresh ticked relation,
+    // so a self-join's two sides share no attribute.
+    def ticked(v: View) = tvrOf(v).map { r =>
       r.tvr.snapshotsAt(ticks).queryExecution.analyzed.transformUpWithNewOutput {
         case leaf: MultiInstanceRelation =>
           val fresh = leaf.newInstance()

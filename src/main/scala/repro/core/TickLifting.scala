@@ -14,42 +14,38 @@ import repro.tvr.Tvr
   * et al., VLDB 2023).
   *
   * The input is the analyzed plan of the query over snapshot views. Each
-  * view of a time-varying relation is replaced by its ticked relation
-  * ([[Tvr.snapshotsAt]]), under the view's own output attributes, so
-  * every expression above still binds and alignment metadata is kept.
-  * Its `__tick` attribute is then threaded upward:
-  *   - Project outputs it, Sort orders by it first, Aggregate groups by it;
-  *     Distinct, Filter, Generate and SubqueryAlias pass it through;
-  *   - a join of two ticked inputs equates their ticks, Q7's self-join
-  *     included;
-  *   - a static input (a view of a table, or no view at all) is joined as
-  *     it is, never replicated, unless its rows are kept without a match
-  *     (the preserved side of an outer join, the left of a semi or anti
-  *     join, a union branch): then it is crossed with the ticks;
+  * view of a registered TVR (stream or table) is replaced by its ticked
+  * relation ([[Tvr.snapshotsAt]]), under the view's own output
+  * attributes, so every expression above still binds and alignment
+  * metadata is kept; any other leaf (VALUES, a SELECT without FROM) is
+  * crossed with the ticks. Every lifted node then carries a `__tick`
+  * attribute, threaded upward:
+  *   - Project outputs it, Aggregate groups by it; Filter, Sort, Distinct,
+  *     Generate, SubqueryAlias and View pass it through;
+  *   - a join equates its sides' ticks, Q7's self-join included;
+  *   - set operations line their branches up, the tick last;
   *   - a global aggregate (no GROUP BY) also aggregates one input-less row
   *     per tick, which its aggregate functions filter out, so it yields
   *     its row at ticks with no input (`COUNT(*)` = 0).
   *
-  * Any other operator over a ticked input, and any subquery expression,
-  * throws [[StreamSqlAnalysisException]] naming it.
+  * Any other operator, and any subquery expression, throws
+  * [[StreamSqlAnalysisException]] naming it.
   */
 private[core] object TickLifting {
 
   /** `plan` lifted over `ticks`; its output is the plan's, then `__tick`.
-    * `ticked` gives a fresh ticked relation for a view of a time-varying
-    * relation, and None for anything else.
+    * `ticked` gives a fresh ticked relation for a view of a registered
+    * TVR, and None for any other view.
     */
   def lift(plan: LogicalPlan, ticks: Seq[Long], ticked: View => Option[LogicalPlan]): LogicalPlan = {
-    val lifting = new Lifting(ticks, ticked)
-    val (p, t)  = lifting.withTicks(lifting.lift(plan))
+    val Lifted(p, t) = new Lifting(ticks, ticked).lift(plan)
     Project(plan.output :+ t, p)
   }
 
-  private final case class Lifted(plan: LogicalPlan, tick: Option[Attribute])
+  private final case class Lifted(plan: LogicalPlan, tick: Attribute)
 
   private def unsupported(what: String): Nothing =
-    throw new StreamSqlAnalysisException(
-      s"$what over a time-varying relation is not supported: the query cannot be lifted over ticks")
+    throw new StreamSqlAnalysisException(s"$what is not supported: the query cannot be lifted over ticks")
 
   private final class Lifting(ticks: Seq[Long], ticked: View => Option[LogicalPlan]) {
 
@@ -58,17 +54,16 @@ private[core] object TickLifting {
       LocalRelation(Seq(AttributeReference(Tvr.TickCol, LongType, nullable = false, Tvr.TickMetadata)()),
         ticks.map(InternalRow(_)))
 
-    /** `l` as a ticked plan: a static one is crossed with the ticks. */
-    def withTicks(l: Lifted): (LogicalPlan, Attribute) = l.tick match {
-      case Some(t) => (l.plan, t)
-      case None =>
-        val r = tickRelation()
-        (Join(l.plan, r, Cross, None, JoinHint.NONE), r.output.head)
-    }
-
-    def lift(p: LogicalPlan): Lifted = p match {
-      case v: View => ticked(v).map(tickedView(v, _)).getOrElse(liftChildren(v))
-      case _       => liftChildren(p)
+    def lift(p: LogicalPlan): Lifted = {
+      if (p.expressions.exists(SubqueryExpression.hasSubquery)) unsupported("A subquery expression")
+      p match {
+        case v: View => ticked(v).map(tickedView(v, _)).getOrElse(liftOperator(v, v.children.map(lift)))
+        case leaf: LeafNode =>
+          // The same rows at every tick.
+          val r = tickRelation()
+          Lifted(Join(leaf, r, Cross, None, JoinHint.NONE), r.output.head)
+        case _ => liftOperator(p, p.children.map(lift))
+      }
     }
 
     /** The view's relation, ticked, under the view's output attributes. */
@@ -77,61 +72,49 @@ private[core] object TickLifting {
       val data = v.output.zip(rel.output).map { case (a, d) =>
         Alias(d, a.name)(exprId = a.exprId, qualifier = a.qualifier, explicitMetadata = Some(a.metadata))
       }
-      Lifted(Project(data :+ rel.output.last, rel), Some(rel.output.last))
+      Lifted(Project(data :+ rel.output.last, rel), rel.output.last)
     }
 
-    private def liftChildren(p: LogicalPlan): Lifted = {
-      if (p.expressions.exists(SubqueryExpression.hasSubquery)) unsupported("A subquery expression")
-      val kids = p.children.map(lift)
-      if (kids.forall(_.tick.isEmpty)) Lifted(p.withNewChildren(kids.map(_.plan)), None)
-      else liftOperator(p, kids)
-    }
+    /** A branch of a set operation: its own columns, then the tick. */
+    private def aligned(orig: LogicalPlan, k: Lifted): LogicalPlan = Project(orig.output :+ k.tick, k.plan)
 
     private def liftOperator(p: LogicalPlan, kids: Seq[Lifted]): Lifted = (p, kids) match {
-      case (pr: Project, Seq(Lifted(c, Some(t)))) => Lifted(pr.copy(projectList = pr.projectList :+ t, child = c), Some(t))
-      case (f: Filter, Seq(Lifted(c, t)))         => Lifted(f.copy(child = c), t)
-      case (d: Distinct, Seq(Lifted(c, t)))       => Lifted(d.copy(child = c), t)
-      case (g: Generate, Seq(Lifted(c, t)))       => Lifted(g.copy(child = c), t)
-      case (s: SubqueryAlias, Seq(Lifted(c, t)))  => Lifted(s.copy(child = c), t)
-      case (s: Sort, Seq(Lifted(c, Some(t))))     =>
-        Lifted(s.copy(order = SortOrder(t, Ascending) +: s.order, child = c), Some(t))
-      case (a: Aggregate, Seq(Lifted(c, Some(t)))) if a.groupingExpressions.nonEmpty =>
+      case (pr: Project, Seq(Lifted(c, t)))   => Lifted(pr.copy(projectList = pr.projectList :+ t, child = c), t)
+      case (f: Filter, Seq(Lifted(c, t)))     => Lifted(f.copy(child = c), t)
+      // Rows are bucketed by tick in the order they arrive, so each tick's
+      // rows keep the ORDER BY order.
+      case (s: Sort, Seq(Lifted(c, t)))       => Lifted(s.copy(child = c), t)
+      case (d: Distinct, Seq(Lifted(c, t)))   => Lifted(d.copy(child = c), t)
+      case (g: Generate, Seq(Lifted(c, t)))   => Lifted(g.copy(child = c), t)
+      case (s: SubqueryAlias, Seq(Lifted(c, t))) => Lifted(s.copy(child = c), t)
+      case (v: View, Seq(Lifted(c, t)))       => Lifted(v.copy(child = c), t)
+      case (a: Aggregate, Seq(Lifted(c, t))) if a.groupingExpressions.nonEmpty =>
         Lifted(a.copy(groupingExpressions = a.groupingExpressions :+ t,
-          aggregateExpressions = a.aggregateExpressions :+ t, child = c), Some(t))
-      case (a: Aggregate, Seq(Lifted(c, Some(t)))) => globalAggregate(a, c, t)
-      case (j: Join, Seq(l, r))                   => join(j, l, r)
+          aggregateExpressions = a.aggregateExpressions :+ t, child = c), t)
+      case (a: Aggregate, Seq(Lifted(c, t))) => globalAggregate(a, c, t)
+      case (j: Join, Seq(l, r))              => join(j, l, r)
       case (u: Union, _) =>
-        // Branches line up by position: each outputs its columns, then its tick.
-        val aligned = u.children.zip(kids).map { case (orig, k) =>
-          val (c, t) = withTicks(k)
-          Project(orig.output :+ t, c)
-        }
-        val lifted = u.copy(children = aligned)
-        Lifted(lifted, Some(lifted.output.last))
+        val lifted = u.copy(children = u.children.zip(kids).map((aligned _).tupled))
+        Lifted(lifted, lifted.output.last)
+      case (i: Intersect, Seq(l, r)) =>
+        val lifted = i.copy(left = aligned(i.left, l), right = aligned(i.right, r))
+        Lifted(lifted, lifted.output.last)
+      case (e: Except, Seq(l, r)) =>
+        val lifted = e.copy(left = aligned(e.left, l), right = aligned(e.right, r))
+        Lifted(lifted, lifted.output.last)
       case _ => unsupported(s"Operator ${p.nodeName}")
     }
 
-    /** A join; a static side whose rows the join keeps without a match
-      * gets ticks, and two ticked sides join tick by tick.
-      */
-    private def join(j: Join, l0: Lifted, r0: Lifted): Lifted = {
-      val keepsLeft  = Set[JoinType](LeftOuter, FullOuter, LeftSemi, LeftAnti)(j.joinType)
-      val keepsRight = Set[JoinType](RightOuter, FullOuter)(j.joinType)
-      def keep(side: Lifted) = { val (p, t) = withTicks(side); Lifted(p, Some(t)) }
-      val l = if (keepsLeft) keep(l0) else l0
-      val r = if (keepsRight) keep(r0) else r0
-      (l.tick, r.tick) match {
-        case (Some(lt), Some(rt)) =>
-          val same   = EqualTo(lt, rt)
-          val joined = j.copy(left = l.plan, right = r.plan, condition = Some(j.condition.fold[Expression](same)(And(same, _))))
-          j.joinType match {
-            case FullOuter =>
-              val t = Alias(Coalesce(Seq(lt, rt)), Tvr.TickCol)(explicitMetadata = Some(Tvr.TickMetadata))
-              Lifted(Project(joined.output :+ t, joined), Some(t.toAttribute))
-            case RightOuter => Lifted(joined, Some(rt))
-            case _          => Lifted(joined, Some(lt))
-          }
-        case (lt, rt) => Lifted(j.copy(left = l.plan, right = r.plan), lt.orElse(rt))
+    /** A join, tick by tick; a FULL JOIN's tick is whichever side has one. */
+    private def join(j: Join, l: Lifted, r: Lifted): Lifted = {
+      val same   = EqualTo(l.tick, r.tick)
+      val joined = j.copy(left = l.plan, right = r.plan, condition = Some(j.condition.fold[Expression](same)(And(same, _))))
+      j.joinType match {
+        case FullOuter =>
+          val t = Alias(Coalesce(Seq(l.tick, r.tick)), Tvr.TickCol)(explicitMetadata = Some(Tvr.TickMetadata))
+          Lifted(Project(joined.output :+ t, joined), t.toAttribute)
+        case RightOuter => Lifted(joined, r.tick)
+        case _          => Lifted(joined, l.tick)
       }
     }
 
@@ -150,7 +133,7 @@ private[core] object TickLifting {
       val aggExprs = a.aggregateExpressions.map(_.transform {
         case ae: AggregateExpression => ae.copy(filter = Some(ae.filter.fold[Expression](isInput)(And(isInput, _))))
       }.asInstanceOf[NamedExpression])
-      Lifted(a.copy(groupingExpressions = Seq(t), aggregateExpressions = aggExprs :+ t, child = both), Some(t))
+      Lifted(a.copy(groupingExpressions = Seq(t), aggregateExpressions = aggExprs :+ t, child = both), t)
     }
   }
 }

@@ -1,15 +1,18 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.functions._
 
 import repro.SparkSpec
 import repro.nexmark.NexGen
 import repro.paperexample.PaperDataset
-import repro.tvr.{Times, Tvr, WatermarkTimeline}
+import repro.tvr.{Diff, Times, Tvr, WatermarkTimeline}
 
 /** Differential test of the lifted evaluator: every changelog equals the
-  * one obtained by evaluating the query's table rendering separately at
-  * each tick and feeding those snapshots to an [[EmitStateMachine]].
+  * one obtained by evaluating the query separately at each tick, over
+  * each input's snapshot at that tick, and feeding those results to an
+  * [[EmitStateMachine]]. The per-tick oracle is built here, in plain
+  * Spark SQL, and shares no code with the lifting.
   */
 class LiftedEvaluationSpec extends SparkSpec {
   import spark.implicits._
@@ -50,6 +53,14 @@ class LiftedEvaluationSpec extends SparkSpec {
       """SELECT T.wstart, T.wend, COUNT(*) AS n
         |FROM Tumble(data => TABLE(Bid), timecol => DESCRIPTOR(bidtime), dur => INTERVAL '10' MINUTES) T
         |WHERE T.price > 1 GROUP BY T.wstart, T.wend HAVING COUNT(*) > 1""".stripMargin,
+    "WITH, read twice"       ->
+      """WITH T AS (SELECT * FROM Tumble(data => TABLE(Bid), timecol => DESCRIPTOR(bidtime),
+        |                                  dur => INTERVAL '10' MINUTES))
+        |SELECT a.wstart, a.wend, a.item, b.item AS bitem FROM T a JOIN T b
+        |  ON a.wend = b.wend AND a.price < b.price""".stripMargin,
+    "UNION ALL with VALUES"  -> "SELECT item FROM Bid UNION ALL SELECT * FROM VALUES ('V') AS v(item)",
+    "INTERSECT"              -> "SELECT bidtime, item FROM Bid INTERSECT SELECT bidtime, item FROM Bid WHERE price > 3",
+    "EXCEPT of streams"      -> "SELECT bidtime, item FROM Bid EXCEPT SELECT bidtime, item FROM Ask",
   )
 
   private val modes = Seq(
@@ -60,13 +71,14 @@ class LiftedEvaluationSpec extends SparkSpec {
 
   /** A session over `bid` and `ask` streams and a static `ItemInfo`. */
   private final case class Input(name: String, bid: Tvr, ask: Tvr, now: Long) {
+    val itemInfo: DataFrame =
+      Seq(("A", "art"), ("D", "drums"), ("F", "fan"), ("I1", "one"), ("I3", "three"), ("Z", "zither"))
+        .toDF("item", "descr")
     val session: StreamSqlSession = {
       val s = new StreamSqlSession(spark)
       s.registerStream("Bid", bid)
       s.registerStream("Ask", ask)
-      s.registerTable("ItemInfo",
-        Seq(("A", "art"), ("D", "drums"), ("F", "fan"), ("I1", "one"), ("I3", "three"), ("Z", "zither"))
-          .toDF("item", "descr"))
+      s.registerTable("ItemInfo", itemInfo)
       s
     }
     val watermarks: Map[String, WatermarkTimeline] =
@@ -77,6 +89,20 @@ class LiftedEvaluationSpec extends SparkSpec {
       Seq("Bid" -> bid.tickPtimes, "Ask" -> ask.tickPtimes, "ItemInfo" -> Seq(0L))
         .collect { case (n, ts) if raw"\b$n\b".r.findFirstIn(sql).isDefined => ts }
         .flatten.distinct.sorted.filter(_ <= now)
+
+    /** The oracle: `sql`'s result at tick `p`, from each stream's
+      * snapshot at `p` (the changes up to `p`, netted) and the table.
+      */
+    def resultAt(sql: String, p: Long): Seq[Seq[Any]] = {
+      for ((name, tvr) <- Seq("Bid" -> bid, "Ask" -> ask)) {
+        val upTo = tvr.changelog.where(unix_millis(col(Tvr.PtimeCol)) <= p)
+        Diff.expand(upTo.groupBy(tvr.dataColumns.map(col): _*)
+          .agg(sum(when(col(Tvr.UndoCol), -1L).otherwise(1L)).as("__cnt"))
+          .where(col("__cnt") > 0)).createOrReplaceTempView(name)
+      }
+      itemInfo.createOrReplaceTempView("ItemInfo")
+      spark.sql(WindowTvfRewriter.rewrite(sql).sql).collect().toSeq.map(_.toSeq)
+    }
   }
 
   private def paper: Input = {
@@ -131,11 +157,10 @@ class LiftedEvaluationSpec extends SparkSpec {
     test(s"lifted changelogs equal per-tick evaluation on the $inputName input") {
       val in = input()
       for ((name, sql) <- qs) {
-        // The oracle's input: the table rendering at each tick, evaluated
-        // one tick at a time.
-        val frames            = in.ticks(sql).map(p => p -> in.session.sql(sql, p))
-        val (keyOf, complete) = gating(in, sql, frames.head._2.columns.toSeq)
-        val snapshots         = frames.map { case (p, df) => p -> df.collect().toSeq.map(_.toSeq) }
+        // The oracle's input: the result at each tick, evaluated one tick
+        // at a time. The session re-registers its own views on every call.
+        val snapshots         = in.ticks(sql).map(p => p -> in.resultAt(sql, p))
+        val (keyOf, complete) = gating(in, sql, spark.sql(WindowTvfRewriter.rewrite(sql).sql).columns.toSeq)
         for (mode <- modes) {
           val emit = EmitClause.split(s"$sql $mode")._2
           if (emit.afterWatermark && in.session.alignmentOf(sql).isEmpty)

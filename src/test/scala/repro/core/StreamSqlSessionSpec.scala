@@ -166,7 +166,12 @@ class StreamSqlSessionSpec extends SparkSpec {
   test("an operator that cannot be lifted over ticks fails inside sql()") {
     for ((sql, what) <- Seq(
         "SELECT item FROM Bid LIMIT 1 EMIT STREAM" -> "Limit",
-        "SELECT item FROM Bid WHERE price > (SELECT MIN(price) FROM Bid) EMIT STREAM" -> "subquery")) {
+        "SELECT item FROM Bid WHERE price > (SELECT MIN(price) FROM Bid) EMIT STREAM" -> "subquery",
+        "SELECT item FROM Bid LIMIT 1" -> "Limit",
+        """SELECT T.wstart, T.wend, T.item, MAX(T.price) AS maxprice
+          |FROM Tumble(data => TABLE(Bid), timecol => DESCRIPTOR(bidtime), dur => INTERVAL '10' MINUTES) T
+          |GROUP BY GROUPING SETS ((T.wstart, T.wend, T.item), (T.wstart, T.wend))
+          |EMIT STREAM""".stripMargin -> "Expand")) {
       val e = intercept[StreamSqlAnalysisException](newSession.sql(sql, Times.hm("8:21")))
       assert(e.getMessage.contains(what), e.getMessage)
     }
