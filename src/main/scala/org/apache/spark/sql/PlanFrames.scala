@@ -1,13 +1,21 @@
 package org.apache.spark.sql
 
 import org.apache.spark.sql.catalyst.plans.logical.LogicalPlan
+import org.apache.spark.sql.types.StructType
 
-/** A DataFrame over a logical plan built by hand.
+/** DataFrames built below the public API.
   *
-  * `Dataset.ofRows` is Spark-internal (`private[sql]`), hence this
-  * one-line bridge in Spark's package.
+  * `Dataset.ofRows` and `internalCreateDataFrame` are Spark-internal
+  * (`private[sql]`), hence this bridge in Spark's package.
   */
 object PlanFrames {
   def ofPlan(spark: SparkSession, plan: LogicalPlan): DataFrame =
     classic.Dataset.ofRows(spark.asInstanceOf[classic.SparkSession], plan)
+
+  /** `df`'s rows under `schema` (its columns with new field metadata), as
+    * a leaf relation over `df`'s internal rows: no row is converted to a
+    * `Row` and back.
+    */
+  def withSchema(df: DataFrame, schema: StructType): DataFrame =
+    df.sparkSession.asInstanceOf[classic.SparkSession].internalCreateDataFrame(df.queryExecution.toRdd, schema)
 }

@@ -7,6 +7,7 @@ import org.apache.spark.sql.{DataFrame, PlanFrames, Row, SparkSession}
 import org.apache.spark.sql.catalyst.analysis.MultiInstanceRelation
 import org.apache.spark.sql.catalyst.optimizer.InlineCTE
 import org.apache.spark.sql.catalyst.plans.logical.{LogicalPlan, View}
+import org.apache.spark.sql.functions.col
 import org.apache.spark.sql.types._
 
 import repro.core.EventTimeAlignment.Align
@@ -87,7 +88,7 @@ final class StreamSqlSession(val spark: SparkSession) {
         f.copy(metadata = EventTimeAlignment.unboundedMetadata(name))
       else f
     })
-    tvr.copy(changelog = spark.createDataFrame(tvr.changelog.rdd, schema))
+    tvr.copy(changelog = PlanFrames.withSchema(tvr.changelog, schema))
   }
 
   // ------------------------------------------------------------------
@@ -109,14 +110,14 @@ final class StreamSqlSession(val spark: SparkSession) {
   private def groupKey(c: Compiled, row: Seq[Any]): Seq[Any] =
     if (c.gates.isEmpty) row else c.gates.map { case (i, _) => row(i) }
 
-  /** Register one view per TVR for analysis. It stands in for the TVR's
-    * snapshots, which [[TickLifting]] puts in its place.
+  /** Register one view per TVR for analysis: the changelog's data
+    * columns, which carry the alignment metadata stamped at registration.
+    * It only stands in for the TVR's snapshots, which [[TickLifting]] puts
+    * in its place, so it is never run.
     */
   private def registerViews(): Unit =
     tvrs.foreach { case (name, r) =>
-      // Alignment metadata was stamped into the changelog leaf schema at
-      // registration and flows through the snapshot derivation.
-      r.tvr.snapshotAt(Long.MinValue / 2).createOrReplaceTempView(name)
+      r.tvr.changelog.select(r.tvr.dataColumns.map(col): _*).createOrReplaceTempView(name)
     }
 
   /** The registered TVR a view reads, by name. */

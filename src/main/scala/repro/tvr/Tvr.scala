@@ -22,10 +22,15 @@ final case class EventTimeMeta(column: String, watermark: WatermarkTimeline)
   *
   * A static table is the degenerate TVR whose changelog inserts every row
   * at `ptime = Long.MinValue`-ish (here: epoch 0) and never changes.
+  *
+  * `appendOnly` states that the changelog retracts nothing, as for every
+  * source stream and static table; its snapshots then need no netting.
+  * The constructors below set it when they know it.
   */
 final case class Tvr(
     changelog: DataFrame,
     eventTime: Option[EventTimeMeta] = None,
+    appendOnly: Boolean = false,
 ) {
   import Tvr._
 
@@ -44,18 +49,22 @@ final case class Tvr(
     * belongs to.
     *
     * Each changelog row is replicated to every tick at or after its
-    * `__ptime`; one groupBy on the data columns and the tick then nets
-    * inserts against retractions. A groupBy rather than a join, so the
+    * `__ptime`. For an append-only changelog that is already every
+    * snapshot. Otherwise one groupBy on the data columns and the tick nets
+    * inserts against retractions: a groupBy rather than a join, so the
     * data columns' attribute metadata, which carries event-time and
     * watermark alignment, flows through unchanged.
     */
   def snapshotsAt(ticks: Seq[Long]): DataFrame = {
     val ticked = changelog
-      .withColumn(TickCol, explode(filter(typedLit(ticks), t => t >= unix_millis(col(PtimeCol)))))
+      .withColumn(TickCol, explode(typedLit(ticks)))
+      .where(col(TickCol) >= unix_millis(col(PtimeCol)))
       .withMetadata(TickCol, TickMetadata)
-    Diff.expand(
+    val cols = (dataColumns :+ TickCol).map(col)
+    if (appendOnly) ticked.select(cols: _*)
+    else Diff.expand(
       ticked
-        .groupBy((dataColumns :+ TickCol).map(col): _*)
+        .groupBy(cols: _*)
         .agg(sum(when(col(UndoCol), -1L).otherwise(1L)).as("__cnt"))
         .where(col("__cnt") > 0)
     )
@@ -101,7 +110,8 @@ object Tvr {
   /** Wrap a static DataFrame as a TVR (single snapshot at epoch 0). */
   def fromStatic(df: DataFrame): Tvr = Tvr(
     df.withColumn(PtimeCol, lit(0L).cast(TimestampType))
-      .withColumn(UndoCol, lit(false).cast(BooleanType))
+      .withColumn(UndoCol, lit(false).cast(BooleanType)),
+    appendOnly = true,
   )
 
   /** Build an append-only TVR from an arrival log: each row is inserted at
@@ -113,7 +123,7 @@ object Tvr {
       .withColumn(PtimeCol, col(ptimeCol).cast(TimestampType))
       .withColumn(UndoCol, lit(false).cast(BooleanType))
       .drop(ptimeCol)
-    Tvr(ptimed)
+    Tvr(ptimed, appendOnly = true)
   }
 
   /** Build from driver-side tuples `(ptimeMs, undo, dataRow)`. */
@@ -129,6 +139,6 @@ object Tvr {
     val data = rows.map { case (p, u, d) =>
       org.apache.spark.sql.Row.fromSeq(d :+ Times.ts(p) :+ u)
     }
-    Tvr(spark.createDataFrame(spark.sparkContext.parallelize(data, 1), full))
+    Tvr(spark.createDataFrame(spark.sparkContext.parallelize(data, 1), full), appendOnly = rows.forall(!_._2))
   }
 }

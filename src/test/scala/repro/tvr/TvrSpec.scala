@@ -70,6 +70,17 @@ class TvrSpec extends SparkSpec {
     assert(t.snapshotAt(200).count() == 2)
   }
 
+  test("an append-only changelog's snapshots equal its netted snapshots") {
+    val t = tvr((10L, false, ("a", 1)), (10L, false, ("a", 1)), (20L, false, ("b", 2)))
+    assert(t.appendOnly)
+    val ticks = Seq(5L, 10L, 15L, 20L)
+    def bag(df: org.apache.spark.sql.DataFrame) = df.collect().map(_.toSeq).groupBy(identity).view.mapValues(_.length).toMap
+    val snaps = bag(t.snapshotsAt(ticks))
+    assert(snaps == bag(t.copy(appendOnly = false).snapshotsAt(ticks)))
+    assert(snaps.values.sum == 2 + 2 + 3)
+    assert(!tvr((10L, false, ("a", 1)), (20L, true, ("a", 1))).appendOnly)
+  }
+
   test("snapshot equals snapshotAt(+inf)") {
     val t = tvr((10L, false, ("a", 1)), (20L, true, ("a", 1)), (30L, false, ("b", 2)))
     assert(t.snapshot.collect().map(_.getString(0)).toSeq == Seq("b"))
