@@ -110,14 +110,26 @@ final class StreamSqlSession(val spark: SparkSession) {
   private def groupKey(c: Compiled, row: Seq[Any]): Seq[Any] =
     if (c.gates.isEmpty) row else c.gates.map { case (i, _) => row(i) }
 
+  /** Each TVR's view as this session last registered it: the TVR and
+    * the catalog entry it became, both compared by reference.
+    */
+  private val views = mutable.Map.empty[String, (Registered, AnyRef)]
+
   /** Register one view per TVR for analysis: the changelog's data
     * columns, which carry the alignment metadata stamped at registration.
     * It only stands in for the TVR's snapshots, which [[TickLifting]] puts
-    * in its place, so it is never run.
+    * in its place, so it is never run. A view still in the catalog as
+    * this session left it is kept; registering one is a command
+    * execution. One that another session, or a newer registration
+    * under its name, replaced is registered again.
     */
   private def registerViews(): Unit =
     tvrs.foreach { case (name, r) =>
-      r.tvr.changelog.select(r.tvr.dataColumns.map(col): _*).createOrReplaceTempView(name)
+      val current = PlanFrames.tempView(spark, name)
+      if (!views.get(name).exists { case (v, entry) => (v eq r) && current.exists(_ eq entry) }) {
+        r.tvr.changelog.select(r.tvr.dataColumns.map(col): _*).createOrReplaceTempView(name)
+        PlanFrames.tempView(spark, name).foreach(entry => views(name) = (r, entry))
+      }
     }
 
   /** The registered TVR a view reads, by name. */

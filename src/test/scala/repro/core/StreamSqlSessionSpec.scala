@@ -215,6 +215,22 @@ class StreamSqlSessionSpec extends SparkSpec {
     assert(rows(s.sql(sql, Times.hm("8:21"))) == alone)
   }
 
+  test("a session registers its views again only after another session replaced them") {
+    val a   = newSession
+    val bid = PaperDataset.bidTvr(spark)
+    val b   = new StreamSqlSession(spark)
+    b.registerStream("Bid", bid.copy(changelog = bid.changelog.where($"price" >= 4)))
+    def items(s: StreamSqlSession) =
+      s.sql("SELECT item FROM Bid", Times.hm("8:21")).collect().map(_.getString(0)).sorted.toSeq
+    val all   = items(a)
+    val entry = org.apache.spark.sql.PlanFrames.tempView(spark, "Bid").get
+    assert(items(a) == all)
+    assert(org.apache.spark.sql.PlanFrames.tempView(spark, "Bid").get eq entry, "a second call re-registered its view")
+    val some = items(b)
+    assert(some.nonEmpty && some.size < all.size)
+    assert(items(a) == all)
+  }
+
   // ------------------------------------------------------ rule installation
 
   test("two sessions over one SparkSession install the Extension 2 rule once") {
