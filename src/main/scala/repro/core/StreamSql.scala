@@ -118,10 +118,10 @@ final class StreamSqlSession(val spark: SparkSession) {
   /** Register one view per TVR for analysis: the changelog's data
     * columns, which carry the alignment metadata stamped at registration.
     * It only stands in for the TVR's snapshots, which [[TickLifting]] puts
-    * in its place, so it is never run. A view still in the catalog as
-    * this session left it is kept; registering one is a command
-    * execution. One that another session, or a newer registration
-    * under its name, replaced is registered again.
+    * in its place, so it is never run. Registering a view is a command
+    * execution, so a view still in the catalog as this session left it
+    * is kept; one that another session, or a newer registration under
+    * its name, replaced is registered again.
     */
   private def registerViews(): Unit =
     tvrs.foreach { case (name, r) =>
