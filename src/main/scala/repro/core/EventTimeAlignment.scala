@@ -2,7 +2,6 @@ package repro.core
 
 import org.apache.spark.sql.catalyst.expressions._
 import org.apache.spark.sql.catalyst.plans.logical._
-import org.apache.spark.sql.types.{Metadata, MetadataBuilder}
 
 import repro.core.expressions.{EventTimePlus, HopWstarts, TumbleWend, TumbleWstart}
 
@@ -17,9 +16,9 @@ import repro.core.expressions.{EventTimePlus, HopWstarts, TumbleWend, TumbleWsta
   * time `p` iff `wm(p) >= v + deltaMs` (non-strict window bounds) or
   * `wm(p) > v` (strict — raw event timestamps).
   *
-  * Seeding uses column metadata stamped by [[StreamSqlSession]] on every
-  * registered TVR's event-time column (survives optimization, unlike
-  * name-based matching on `SubqueryAlias`, which the optimizer erases).
+  * The analysis runs on the analyzed plan, seeded with each registered
+  * TVR's event-time column as the TVR's view outputs it (found by
+  * [[StreamSqlSession]], which knows the views): strict, delta 0.
   * Propagation follows the paper's conservative rule: only verbatim
   * forwarding, grouping keys, and the windowing expressions preserve
   * alignment; anything else degrades the attribute to a plain TIMESTAMP.
@@ -28,33 +27,6 @@ object EventTimeAlignment {
 
   /** Alignment of one attribute with the watermark of TVR `source`. */
   final case class Align(source: String, deltaMs: Long, strict: Boolean)
-
-  val EventTimeKey = "repro.eventTime"
-  val SourceKey    = "repro.tvr"
-  val UnboundedKey = "repro.unbounded"
-
-  /** Metadata stamped on a TVR's event-time column at view registration. */
-  def eventTimeMetadata(tvrName: String, unbounded: Boolean): Metadata =
-    new MetadataBuilder()
-      .putBoolean(EventTimeKey, true)
-      .putString(SourceKey, tvrName)
-      .putBoolean(UnboundedKey, unbounded)
-      .build()
-
-  /** Metadata stamped on every *other* column of an unbounded TVR, so
-    * unbounded-ness remains detectable even after the optimizer prunes
-    * the event-time column away.
-    */
-  def unboundedMetadata(tvrName: String): Metadata =
-    new MetadataBuilder()
-      .putString(SourceKey, tvrName)
-      .putBoolean(UnboundedKey, true)
-      .build()
-
-  private def seedOf(a: Attribute): Option[Align] =
-    if (a.metadata.contains(EventTimeKey) && a.metadata.getBoolean(EventTimeKey))
-      Some(Align(a.metadata.getString(SourceKey), 0L, strict = true))
-    else None
 
   private def longLit(e: Expression): Option[Long] = e match {
     case Literal(v: Long, _)    => Some(v)
@@ -65,7 +37,7 @@ object EventTimeAlignment {
 
   /** Alignment of an arbitrary expression given child-attribute aligns. */
   def exprAlign(e: Expression, m: Map[ExprId, Align]): Option[Align] = e match {
-    case a: AttributeReference        => m.get(a.exprId).orElse(seedOf(a))
+    case a: AttributeReference        => m.get(a.exprId)
     case Alias(child, _)              => exprAlign(child, m)
     case TumbleWstart(ts, d, _)       =>
       for (a <- exprAlign(ts, m); dur <- longLit(d)) yield Align(a.source, dur, strict = false)
@@ -78,15 +50,14 @@ object EventTimeAlignment {
     case _                            => None
   }
 
-  /** Bottom-up alignment of every attribute in `plan`. */
-  def analyze(plan: LogicalPlan): Map[ExprId, Align] = {
+  /** Bottom-up alignment of `plan`'s output attributes; `seeds` are
+    * aligned wherever they appear.
+    */
+  def analyze(plan: LogicalPlan, seeds: Map[ExprId, Align]): Map[ExprId, Align] = {
     val fromChildren: Map[ExprId, Align] =
-      plan.children.map(analyze).foldLeft(Map.empty[ExprId, Align])(_ ++ _)
+      plan.children.map(analyze(_, seeds)).foldLeft(seeds)(_ ++ _)
 
     plan match {
-      case leaf: LeafNode =>
-        leaf.output.flatMap(a => seedOf(a).map(a.exprId -> _)).toMap
-
       case Project(projectList, _) =>
         projectList.flatMap { ne =>
           exprAlign(ne, fromChildren).map(ne.exprId -> _)
@@ -120,31 +91,16 @@ object EventTimeAlignment {
         fromChildren.view.filterKeys(id => g.outputSet.exists(_.exprId == id)).toMap ++ gen
 
       case other =>
-        // Conservative passthrough: only attributes forwarded verbatim
-        // (same ExprId in the node's output) stay aligned.
+        // Conservative passthrough, leaves and views included: only
+        // attributes forwarded verbatim (same ExprId in the node's output)
+        // stay aligned.
         fromChildren.view.filterKeys(id => other.outputSet.exists(_.exprId == id)).toMap
     }
   }
 
   /** Aligned columns of the plan's *output*, by column name. */
-  def outputAlignment(plan: LogicalPlan): Seq[(String, Align)] = {
-    val m = analyze(plan)
+  def outputAlignment(plan: LogicalPlan, seeds: Map[ExprId, Align]): Seq[(String, Align)] = {
+    val m = analyze(plan, seeds)
     plan.output.flatMap(a => m.get(a.exprId).map(a.name -> _))
-  }
-
-  /** Whether the plan reads an unbounded source: any attribute anywhere
-    * in the tree carries the unbounded marker (checked over outputs and
-    * expression-referenced attributes — leaves alone would miss it once
-    * projections collapse).
-    */
-  def readsUnbounded(plan: LogicalPlan): Boolean = {
-    def marked(a: Attribute): Boolean =
-      a.metadata.contains(UnboundedKey) && a.metadata.getBoolean(UnboundedKey)
-    plan.find { node =>
-      node.output.exists(marked) ||
-      node.expressions.exists(_.collectFirst {
-        case a: AttributeReference if marked(a) => a
-      }.isDefined)
-    }.isDefined
   }
 }

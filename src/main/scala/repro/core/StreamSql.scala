@@ -5,6 +5,7 @@ import scala.jdk.CollectionConverters._
 
 import org.apache.spark.sql.{DataFrame, PlanFrames, Row, SparkSession}
 import org.apache.spark.sql.catalyst.analysis.MultiInstanceRelation
+import org.apache.spark.sql.catalyst.expressions.ExprId
 import org.apache.spark.sql.catalyst.optimizer.InlineCTE
 import org.apache.spark.sql.catalyst.plans.logical.{LogicalPlan, View}
 import org.apache.spark.sql.functions.col
@@ -37,58 +38,48 @@ import repro.tvr.{Times, Tvr}
   *   - EMIT parsing ([[EmitClause]]) and windowing-TVF lowering
   *     ([[WindowTvfRewriter]]);
   *   - lifting the query over ticks ([[TickLifting]]);
-  *   - watermark-alignment analysis of the compiled plan
-  *     ([[EventTimeAlignment]]) to find the output's completeness gates;
-  *   - Extension 2 validation ([[RequireEventTimeGrouping]], injected via
-  *     `spark.experimental.extraOptimizations`).
+  *   - watermark-alignment analysis of the analyzed plan
+  *     ([[EventTimeAlignment]]), seeded from the views of the registered
+  *     TVRs, to find the output's completeness gates;
+  *   - Extension 2 validation of the analyzed plan
+  *     ([[RequireEventTimeGrouping]]).
   */
 final class StreamSqlSession(val spark: SparkSession) {
 
   WindowExpressions.register(spark)
-  StreamSqlSession.installRule(spark)
 
-  // Tick ptimes are computed from the unstamped changelog at
-  // registration: the bookkeeping DISTINCT would otherwise itself trip
-  // Extension 2's rule on the stamped (unbounded-marked) relation.
-  private final case class Registered(tvr: Tvr, tickPtimes: Seq[Long])
+  /** A registered TVR, its ticks (computed once, at registration), and
+    * whether it is unbounded, which is what Extension 2 checks.
+    */
+  private final case class Registered(tvr: Tvr, tickPtimes: Seq[Long], unbounded: Boolean)
   private val tvrs = mutable.LinkedHashMap.empty[String, Registered]
 
   /** Register an unbounded stream (append-only TVR, usually with an
     * event-time column and watermark).
     */
   def registerStream(name: String, tvr: Tvr): Unit =
-    tvrs(name) = Registered(stamp(name, tvr, unbounded = true), tvr.tickPtimes)
+    tvrs(name) = Registered(asLeaf(name, tvr), tvr.tickPtimes, unbounded = true)
 
   /** Register a classic (bounded, static) table. */
   def registerTable(name: String, df: DataFrame): Unit = {
     val t = Tvr.fromStatic(df)
-    tvrs(name) = Registered(t, t.tickPtimes)
+    tvrs(name) = Registered(t, t.tickPtimes, unbounded = false)
   }
 
   /** Register a bounded TVR (e.g. a recorded stream replayed as a table). */
   def registerBoundedTvr(name: String, tvr: Tvr): Unit =
-    tvrs(name) = Registered(stamp(name, tvr, unbounded = false), tvr.tickPtimes)
+    tvrs(name) = Registered(asLeaf(name, tvr), tvr.tickPtimes, unbounded = false)
 
-  /** Stamp alignment metadata into the changelog's *leaf schema*: every
-    * attribute derived from it then carries the marker natively, which —
-    * unlike alias-level stamping — survives projection collapse in the
-    * optimizer.
+  /** `tvr` with its changelog as one leaf over the changelog's rows, so
+    * that each `sql` call plans one leaf per TVR, not the plan that made
+    * the changelog. Its event-time column must be a TIMESTAMP.
     */
-  private def stamp(name: String, tvr: Tvr, unbounded: Boolean): Tvr = {
-    val etCol = tvr.eventTime.map(_.column)
-    etCol.map(tvr.changelog.schema(_)).filter(_.dataType != TimestampType).foreach { f =>
+  private def asLeaf(name: String, tvr: Tvr): Tvr = {
+    tvr.eventTime.map(et => tvr.changelog.schema(et.column)).filter(_.dataType != TimestampType).foreach { f =>
       throw new StreamSqlAnalysisException(
         s"event time column ${f.name} of TVR $name is ${f.dataType.sql}, not TIMESTAMP")
     }
-    val bookkeeping = Set(Tvr.PtimeCol, Tvr.UndoCol)
-    val schema = StructType(tvr.changelog.schema.fields.map { f =>
-      if (etCol.contains(f.name))
-        f.copy(metadata = EventTimeAlignment.eventTimeMetadata(name, unbounded))
-      else if (unbounded && !bookkeeping.contains(f.name))
-        f.copy(metadata = EventTimeAlignment.unboundedMetadata(name))
-      else f
-    })
-    tvr.copy(changelog = PlanFrames.withSchema(tvr.changelog, schema))
+    tvr.copy(changelog = PlanFrames.leaf(tvr.changelog))
   }
 
   // ------------------------------------------------------------------
@@ -116,12 +107,11 @@ final class StreamSqlSession(val spark: SparkSession) {
   private val views = mutable.Map.empty[String, (Registered, AnyRef)]
 
   /** Register one view per TVR for analysis: the changelog's data
-    * columns, which carry the alignment metadata stamped at registration.
-    * It only stands in for the TVR's snapshots, which [[TickLifting]] puts
-    * in its place, so it is never run. Registering a view is a command
-    * execution, so a view still in the catalog as this session left it
-    * is kept; one that another session, or a newer registration under
-    * its name, replaced is registered again.
+    * columns. It only stands in for the TVR's snapshots, which
+    * [[TickLifting]] puts in its place, so it is never run. Registering a
+    * view is a command execution, so a view still in the catalog as this
+    * session left it is kept; one that another session, or a newer
+    * registration under its name, replaced is registered again.
     */
   private def registerViews(): Unit =
     tvrs.foreach { case (name, r) =>
@@ -132,10 +122,20 @@ final class StreamSqlSession(val spark: SparkSession) {
       }
     }
 
-  /** The registered TVR a view reads, by name. */
-  private def tvrOf(v: View): Option[Registered] =
+  /** The registered TVR a view reads, and its name. */
+  private def tvrOf(v: View): Option[(String, Registered)] =
     if (!v.isTempView) None
-    else tvrs.collectFirst { case (name, r) if name.equalsIgnoreCase(v.desc.identifier.table) => r }
+    else tvrs.find { case (name, _) => name.equalsIgnoreCase(v.desc.identifier.table) }
+
+  /** The event-time column of each registered TVR's view in `plan`. */
+  private def seeds(plan: LogicalPlan): Map[ExprId, Align] =
+    plan.collect { case v: View => v }.flatMap { v =>
+      for {
+        (name, r) <- tvrOf(v)
+        et        <- r.tvr.eventTime
+        a         <- v.output.find(_.name == et.column)
+      } yield a.exprId -> Align(name, 0L, strict = true)
+    }.toMap
 
   private def analyze(sqlText: String): (EmitSpec, LogicalPlan) = {
     val (noEmit, emit) = EmitClause.split(sqlText)
@@ -146,7 +146,8 @@ final class StreamSqlSession(val spark: SparkSession) {
 
   private def compile(sqlText: String, now: Long): Compiled = {
     val (emit, plan) = analyze(sqlText)
-    val aligns  = EventTimeAlignment.analyze(plan)
+    val seeded  = seeds(plan)
+    val aligns  = EventTimeAlignment.analyze(plan, seeded)
     val all     = plan.output.zipWithIndex.flatMap { case (a, i) => aligns.get(a.exprId).map(i -> _) }
     // Window bounds (non-strict) gate completeness; raw event-time keys
     // (strict) only gate when the query exposes no window bounds.
@@ -156,18 +157,19 @@ final class StreamSqlSession(val spark: SparkSession) {
     // needs every tick of the TVRs the query reads.
     val ticks =
       if (emit.isDefaultTable) Seq(now)
-      else plan.collect { case v: View => tvrOf(v) }.flatten.flatMap(_.tickPtimes).distinct.sorted.filter(_ <= now)
+      else plan.collect { case v: View => tvrOf(v) }.flatten.flatMap(_._2.tickPtimes).distinct.sorted.filter(_ <= now)
     // Each view of a registered TVR becomes its own fresh ticked relation,
     // so a self-join's two sides share no attribute.
-    def ticked(v: View) = tvrOf(v).map { r =>
+    def ticked(v: View) = tvrOf(v).map { case (_, r) =>
       r.tvr.snapshotsAt(ticks).queryExecution.analyzed.transformUpWithNewOutput {
         case leaf: MultiInstanceRelation =>
           val fresh = leaf.newInstance()
           (fresh, leaf.output.zip(fresh.output))
       }
     }
-    val lifted = PlanFrames.ofPlan(spark, TickLifting.lift(plan, ticks, ticked))
-    Compiled(emit, plan.schema, gates, ticks, lifted)
+    val lifted = TickLifting.lift(plan, ticks, ticked)
+    RequireEventTimeGrouping(plan, seeded, tvrOf(_).exists(_._2.unbounded))
+    Compiled(emit, plan.schema, gates, ticks, PlanFrames.ofPlan(spark, lifted))
   }
 
   private def wmOf(source: String) =
@@ -218,8 +220,10 @@ final class StreamSqlSession(val spark: SparkSession) {
   }
 
   /** The output alignment of a query's plan, for inspection/tests. */
-  def alignmentOf(sqlText: String): Seq[(String, Align)] =
-    EventTimeAlignment.outputAlignment(analyze(sqlText)._2)
+  def alignmentOf(sqlText: String): Seq[(String, Align)] = {
+    val plan = analyze(sqlText)._2
+    EventTimeAlignment.outputAlignment(plan, seeds(plan))
+  }
 
   /** A local relation, so collecting a result launches no Spark job. */
   private def rowsDf(rows: Seq[Row], schema: StructType): DataFrame =
@@ -236,11 +240,3 @@ final class StreamSqlSession(val spark: SparkSession) {
   }
 }
 
-object StreamSqlSession {
-  /** Add the Extension 2 rule to `spark`'s optimizer, once per session. */
-  private def installRule(spark: SparkSession): Unit =
-    if (!spark.experimental.extraOptimizations.contains(RequireEventTimeGrouping)) {
-      spark.experimental.extraOptimizations =
-        spark.experimental.extraOptimizations :+ RequireEventTimeGrouping
-    }
-}

@@ -16,10 +16,9 @@ import repro.tvr.Tvr
   * The input is the analyzed plan of the query over snapshot views. Each
   * view of a registered TVR (stream or table) is replaced by its ticked
   * relation ([[Tvr.snapshotsAt]]), under the view's own output
-  * attributes, so every expression above still binds and alignment
-  * metadata is kept; any other leaf (VALUES, a SELECT without FROM) is
-  * crossed with the ticks. Every lifted node then carries a `__tick`
-  * attribute, threaded upward:
+  * attributes, so every expression above still binds; any other leaf
+  * (VALUES, a SELECT without FROM) is crossed with the ticks. Every
+  * lifted node then carries a `__tick` attribute, threaded upward:
   *   - Project outputs it, Aggregate groups by it; Filter, Sort, Distinct,
   *     Generate, SubqueryAlias and View pass it through;
   *   - a join equates its sides' ticks, Q7's self-join included;
@@ -51,7 +50,7 @@ private[core] object TickLifting {
 
     /** The ticks as a relation of their own. */
     private def tickRelation(): LocalRelation =
-      LocalRelation(Seq(AttributeReference(Tvr.TickCol, LongType, nullable = false, Tvr.TickMetadata)()),
+      LocalRelation(Seq(AttributeReference(Tvr.TickCol, LongType, nullable = false)()),
         ticks.map(InternalRow(_)))
 
     def lift(p: LogicalPlan): Lifted = {
@@ -111,7 +110,7 @@ private[core] object TickLifting {
       val joined = j.copy(left = l.plan, right = r.plan, condition = Some(j.condition.fold[Expression](same)(And(same, _))))
       j.joinType match {
         case FullOuter =>
-          val t = Alias(Coalesce(Seq(l.tick, r.tick)), Tvr.TickCol)(explicitMetadata = Some(Tvr.TickMetadata))
+          val t = Alias(Coalesce(Seq(l.tick, r.tick)), Tvr.TickCol)()
           Lifted(Project(joined.output :+ t, joined), t.toAttribute)
         case RightOuter => Lifted(joined, r.tick)
         case _          => Lifted(joined, l.tick)

@@ -53,7 +53,7 @@ object WindowTvfRewriter {
       call = findCall(text)
       guard += 1
     }
-    require(guard < 64, "runaway TVF rewrite")
+    require(call.isEmpty, "runaway TVF rewrite")
     Rewritten(text, applied.result())
   }
 

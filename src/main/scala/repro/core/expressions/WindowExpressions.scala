@@ -114,8 +114,8 @@ case class HopWstarts(ts: Expression, durMs: Expression, hopMs: Expression, offM
     copy(ts = c(0), durMs = c(1), hopMs = c(2), offMs = c(3))
 }
 
-/** `ts + millis` preserving the event-time/watermark alignment metadata
-  * tracked by [[repro.core.EventTimeAlignment]] (plain timestamp
+/** `ts + millis` preserving the watermark alignment tracked by
+  * [[repro.core.EventTimeAlignment]] (plain timestamp
   * arithmetic would conservatively degrade the attribute — Section 5).
   * Used by the Hop rewrite to derive `wend = wstart + dur`.
   */

@@ -2,7 +2,7 @@ package repro.tvr
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
-import org.apache.spark.sql.types.{BooleanType, Metadata, MetadataBuilder, TimestampType}
+import org.apache.spark.sql.types.{BooleanType, TimestampType}
 
 /** Event-time metadata for one column of a relation (paper Extension 1):
   * the column holds `TIMESTAMP` values and carries an associated
@@ -51,15 +51,12 @@ final case class Tvr(
     * Each changelog row is replicated to every tick at or after its
     * `__ptime`. For an append-only changelog that is already every
     * snapshot. Otherwise one groupBy on the data columns and the tick nets
-    * inserts against retractions: a groupBy rather than a join, so the
-    * data columns' attribute metadata, which carries event-time and
-    * watermark alignment, flows through unchanged.
+    * inserts against retractions.
     */
   def snapshotsAt(ticks: Seq[Long]): DataFrame = {
     val ticked = changelog
       .withColumn(TickCol, explode(typedLit(ticks)))
       .where(col(TickCol) >= unix_millis(col(PtimeCol)))
-      .withMetadata(TickCol, TickMetadata)
     val cols = (dataColumns :+ TickCol).map(col)
     if (appendOnly) ticked.select(cols: _*)
     else Diff.expand(
@@ -100,12 +97,6 @@ object Tvr {
   val PtimeCol = "__ptime"
   val UndoCol  = "__undo"
   val TickCol  = "__tick"
-
-  /** Marks the `__tick` column of [[Tvr.snapshotsAt]] (and every tick
-    * attribute derived from it), so rules can tell it from data.
-    */
-  val TickKey = "repro.tick"
-  val TickMetadata: Metadata = new MetadataBuilder().putBoolean(TickKey, true).build()
 
   /** Wrap a static DataFrame as a TVR (single snapshot at epoch 0). */
   def fromStatic(df: DataFrame): Tvr = Tvr(

@@ -72,13 +72,23 @@ class EventTimeAlignmentSpec extends SparkSpec {
   // ------------------------------------------------ Extension 2 rule
 
   test("Extension 2: GROUP BY without an event-time key over a stream is rejected") {
-    val e = intercept[Exception] {
-      session.sql("SELECT item, MAX(price) m FROM Bid GROUP BY item", Times.hm("8:21")).collect()
+    intercept[StreamSqlAnalysisException] {
+      session.sql("SELECT item, MAX(price) m FROM Bid GROUP BY item", Times.hm("8:21"))
     }
-    def causes(t: Throwable): Seq[Throwable] =
-      if (t == null) Nil else t +: causes(t.getCause)
-    assert(causes(e).exists(_.isInstanceOf[StreamSqlAnalysisException]),
-      s"expected StreamSqlAnalysisException in cause chain, got $e")
+  }
+
+  test("Extension 2's error names the grouping operator and its keys") {
+    def items(op: String) = s"SELECT item FROM Bid $op SELECT item FROM Bid"
+    for ((sql, op) <- Seq(
+        "SELECT item, COUNT(*) c FROM Bid GROUP BY item" -> "GROUP BY",
+        "SELECT DISTINCT item FROM Bid"                  -> "DISTINCT",
+        items("UNION")                                   -> "UNION",
+        items("INTERSECT ALL")                           -> "INTERSECT",
+        items("EXCEPT")                                  -> "EXCEPT")) {
+      val e = intercept[StreamSqlAnalysisException](session.sql(sql, Times.hm("8:21")))
+      assert(e.getMessage.startsWith(s"$op over an unbounded input"), e.getMessage)
+      assert(e.getMessage.contains("Extension 2") && e.getMessage.contains("item"), e.getMessage)
+    }
   }
 
   test("Extension 2: GROUP BY with a window bound key is accepted") {
@@ -90,6 +100,45 @@ class EventTimeAlignmentSpec extends SparkSpec {
     val df = session.sql(
       "SELECT bidtime, COUNT(*) c FROM Bid GROUP BY bidtime", Times.hm("8:21"))
     assert(df.count() == 6)
+  }
+
+  test("Extension 2 verdicts: every grouping over a stream needs an event-time key") {
+    val s = new StreamSqlSession(spark)
+    s.registerStream("Bid", PaperDataset.bidTvr(spark))
+    s.registerBoundedTvr("BoundedBid", PaperDataset.bidTvr(spark))
+    s.registerTable("ItemInfo", spark.createDataFrame(Seq(("A", "art"), ("D", "drums"))).toDF("item", "descr"))
+    def items(op: String) = s"SELECT item FROM Bid $op SELECT item FROM Bid"
+    val rejected = Seq(
+      "SELECT item, COUNT(*) c FROM Bid GROUP BY item",
+      "SELECT DISTINCT item FROM Bid",
+      items("UNION"),
+      items("INTERSECT"),
+      items("INTERSECT ALL"),
+      items("EXCEPT"),
+      items("EXCEPT ALL"),
+      "SELECT item FROM ItemInfo INTERSECT SELECT item FROM Bid",
+      "SELECT item FROM ItemInfo EXCEPT SELECT item FROM Bid",
+      "SELECT i.item, COUNT(*) c FROM ItemInfo i JOIN Bid b ON i.item = b.item GROUP BY i.item",
+    )
+    val accepted = Seq(
+      "SELECT 1 AS one, COUNT(*) c FROM Bid GROUP BY 1",
+      "SELECT COUNT(*) c FROM Bid GROUP BY 'x'",
+      "SELECT item, bidtime, COUNT(*) c FROM Bid GROUP BY item, bidtime",
+      "SELECT DISTINCT bidtime, price % 2 AS odd FROM Bid",
+      "SELECT bidtime, item FROM Bid INTERSECT ALL SELECT bidtime, item FROM Bid",
+      "SELECT item, COUNT(*) c FROM BoundedBid GROUP BY item",
+      "SELECT DISTINCT item FROM BoundedBid",
+      "SELECT COUNT(*) c FROM Bid",
+    )
+    for (emit <- Seq("", " EMIT STREAM")) {
+      for (sql <- rejected) withClue(s"$sql$emit: ") {
+        val e = intercept[StreamSqlAnalysisException](s.sql(sql + emit, Times.hm("8:21")))
+        assert(e.getMessage.contains("Extension 2"), e.getMessage)
+      }
+      for (sql <- accepted) withClue(s"$sql$emit: ") {
+        s.sql(sql + emit, Times.hm("8:21"))
+      }
+    }
   }
 
   test("Extension 2 rule is inert for bounded tables") {

@@ -96,6 +96,15 @@ class WindowTvfRewriterSpec extends AnyFunSuite {
     assert(e.getMessage.contains("named"))
   }
 
+  test("64 TVF calls rewrite in full; a 65th is a runaway") {
+    def union(n: Int) = Seq.fill(n)(
+      "SELECT * FROM Tumble(data => TABLE(Bid), timecol => DESCRIPTOR(bidtime), dur => INTERVAL '1' MINUTE)")
+      .mkString(" UNION ALL ")
+    assert(WindowTvfRewriter.rewrite(union(64)).windows.size == 64)
+    val e = intercept[IllegalArgumentException](WindowTvfRewriter.rewrite(union(65)))
+    assert(e.getMessage.contains("runaway"))
+  }
+
   test("data must be a TABLE(...) reference") {
     intercept[IllegalArgumentException] {
       WindowTvfRewriter.rewrite(
