@@ -82,25 +82,16 @@ object EmitClause {
     * Work "Nested EMIT").
     */
   private def indexOfTopLevelEmit(sql: String): Int = {
-    var depth    = 0
-    var inString = false
-    var i        = 0
-    while (i < sql.length) {
-      val c = sql.charAt(i)
-      if (inString) { if (c == '\'') inString = false }
-      else c match {
-        case '\'' => inString = true
-        case '('  => depth += 1
-        case ')'  => depth -= 1
-        case 'E' | 'e' if depth == 0 =>
-          if (sql.regionMatches(true, i, "EMIT", 0, 4) &&
-              (i == 0 || !Character.isLetterOrDigit(sql.charAt(i - 1))) &&
-              (i + 4 >= sql.length || !Character.isLetterOrDigit(sql.charAt(i + 4))))
-            return i
-        case _ => ()
+    var depth = 0
+    WindowTvfRewriter.codeIndices(sql, 0).find { i =>
+      sql.charAt(i) match {
+        case '(' => depth += 1; false
+        case ')' => depth -= 1; false
+        case _ =>
+          depth == 0 && sql.regionMatches(true, i, "EMIT", 0, 4) &&
+            (i == 0 || !Character.isLetterOrDigit(sql.charAt(i - 1))) &&
+            (i + 4 >= sql.length || !Character.isLetterOrDigit(sql.charAt(i + 4)))
       }
-      i += 1
-    }
-    -1
+    }.getOrElse(-1)
   }
 }

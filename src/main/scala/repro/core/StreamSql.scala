@@ -8,7 +8,6 @@ import org.apache.spark.sql.catalyst.analysis.MultiInstanceRelation
 import org.apache.spark.sql.catalyst.expressions.ExprId
 import org.apache.spark.sql.catalyst.optimizer.InlineCTE
 import org.apache.spark.sql.catalyst.plans.logical.{LogicalPlan, View}
-import org.apache.spark.sql.functions.col
 import org.apache.spark.sql.types._
 
 import repro.core.EventTimeAlignment.Align
@@ -34,7 +33,10 @@ import repro.tvr.{Times, Tvr}
   *
   * Responsibilities:
   *   - registry of named TVRs (streams are unbounded append-only TVRs,
-  *     tables are degenerate static TVRs);
+  *     tables are degenerate static TVRs), each analyzed as a view in the
+  *     session's own catalog, a `spark.newSession()`: a query resolves
+  *     only the registered names and Spark's built-ins, and the caller's
+  *     temp views and functions are neither read nor written;
   *   - EMIT parsing ([[EmitClause]]) and windowing-TVF lowering
   *     ([[WindowTvfRewriter]]);
   *   - lifting the query over ticks ([[TickLifting]]);
@@ -46,7 +48,11 @@ import repro.tvr.{Times, Tvr}
   */
 final class StreamSqlSession(val spark: SparkSession) {
 
-  WindowExpressions.register(spark)
+  /** Where queries are analyzed: the registered TVRs' views and the
+    * window functions. Queries run on `spark`.
+    */
+  private val catalog = spark.newSession()
+  WindowExpressions.register(catalog)
 
   /** A registered TVR, its ticks (computed once, at registration), and
     * whether it is unbounded, which is what Extension 2 checks.
@@ -58,17 +64,27 @@ final class StreamSqlSession(val spark: SparkSession) {
     * event-time column and watermark).
     */
   def registerStream(name: String, tvr: Tvr): Unit =
-    tvrs(name) = Registered(asLeaf(name, tvr), tvr.tickPtimes, unbounded = true)
+    register(name, Registered(asLeaf(name, tvr), tvr.tickPtimes, unbounded = true))
 
   /** Register a classic (bounded, static) table. */
   def registerTable(name: String, df: DataFrame): Unit = {
     val t = Tvr.fromStatic(df)
-    tvrs(name) = Registered(t, t.tickPtimes, unbounded = false)
+    register(name, Registered(t, t.tickPtimes, unbounded = false))
   }
 
   /** Register a bounded TVR (e.g. a recorded stream replayed as a table). */
   def registerBoundedTvr(name: String, tvr: Tvr): Unit =
-    tvrs(name) = Registered(asLeaf(name, tvr), tvr.tickPtimes, unbounded = false)
+    register(name, Registered(asLeaf(name, tvr), tvr.tickPtimes, unbounded = false))
+
+  /** Record `r` under `name`, with a view for analysis: an empty relation
+    * of the TVR's data columns. It only stands in for the TVR's snapshots,
+    * which [[TickLifting]] puts in its place, so it is never run.
+    */
+  private def register(name: String, r: Registered): Unit = {
+    tvrs(name) = r
+    val data = r.tvr.changelog.schema.filter(f => r.tvr.dataColumns.contains(f.name))
+    catalog.createDataFrame(List.empty[Row].asJava, StructType(data)).createOrReplaceTempView(name)
+  }
 
   /** `tvr` with its changelog as one leaf over the changelog's rows, so
     * that each `sql` call plans one leaf per TVR, not the plan that made
@@ -101,27 +117,6 @@ final class StreamSqlSession(val spark: SparkSession) {
   private def groupKey(c: Compiled, row: Seq[Any]): Seq[Any] =
     if (c.gates.isEmpty) row else c.gates.map { case (i, _) => row(i) }
 
-  /** Each TVR's view as this session last registered it: the TVR and
-    * the catalog entry it became, both compared by reference.
-    */
-  private val views = mutable.Map.empty[String, (Registered, AnyRef)]
-
-  /** Register one view per TVR for analysis: the changelog's data
-    * columns. It only stands in for the TVR's snapshots, which
-    * [[TickLifting]] puts in its place, so it is never run. Registering a
-    * view is a command execution, so a view still in the catalog as this
-    * session left it is kept; one that another session, or a newer
-    * registration under its name, replaced is registered again.
-    */
-  private def registerViews(): Unit =
-    tvrs.foreach { case (name, r) =>
-      val current = PlanFrames.tempView(spark, name)
-      if (!views.get(name).exists { case (v, entry) => (v eq r) && current.exists(_ eq entry) }) {
-        r.tvr.changelog.select(r.tvr.dataColumns.map(col): _*).createOrReplaceTempView(name)
-        PlanFrames.tempView(spark, name).foreach(entry => views(name) = (r, entry))
-      }
-    }
-
   /** The registered TVR a view reads, and its name. */
   private def tvrOf(v: View): Option[(String, Registered)] =
     if (!v.isTempView) None
@@ -139,9 +134,8 @@ final class StreamSqlSession(val spark: SparkSession) {
 
   private def analyze(sqlText: String): (EmitSpec, LogicalPlan) = {
     val (noEmit, emit) = EmitClause.split(sqlText)
-    registerViews()
     // CTEs are inlined, so the lifting meets every view a reference reads.
-    (emit, InlineCTE(alwaysInline = true)(spark.sql(WindowTvfRewriter.rewrite(noEmit).sql).queryExecution.analyzed))
+    (emit, InlineCTE(alwaysInline = true)(catalog.sql(WindowTvfRewriter.rewrite(noEmit)).queryExecution.analyzed))
   }
 
   private def compile(sqlText: String, now: Long): Compiled = {

@@ -23,44 +23,29 @@ package repro.core
   */
 object WindowTvfRewriter {
 
-  /** One lowered TVF application (metadata for tests/diagnostics). */
-  final case class AppliedWindow(
-      kind: String,        // "tumble" | "hop"
-      table: String,       // source relation name
-      timecol: String,     // event time column windowed over
-      durMs: Long,
-      hopMs: Option[Long],
-      offsetMs: Long,
-  )
-
-  final case class Rewritten(sql: String, windows: Seq[AppliedWindow])
-
   private val CallStart = raw"(?i)\b(Tumble|Hop)\s*\(".r
 
   /** Lower every `Tumble(...)`/`Hop(...)` call in `sql`. */
-  def rewrite(sql: String): Rewritten = {
+  def rewrite(sql: String): String = {
     var text    = sql
-    val applied = Vector.newBuilder[AppliedWindow]
     var guard   = 0
     var call    = findCall(text)
     while (call.isDefined && guard < 64) {
       val (start, kind, argsStart) = call.get // argsStart: just after '('
       val argsEnd = matchParen(text, argsStart - 1)
       val args    = parseArgs(text.substring(argsStart, argsEnd))
-      val (replacement, meta) = lower(kind, args)
-      applied += meta
-      text = text.substring(0, start) + replacement + text.substring(argsEnd + 1)
+      text = text.substring(0, start) + lower(kind, args) + text.substring(argsEnd + 1)
       call = findCall(text)
       guard += 1
     }
     require(call.isEmpty, "runaway TVF rewrite")
-    Rewritten(text, applied.result())
+    text
   }
 
   /** Indices of `s` from `from` on that lie outside '...' string
     * literals (the quotes themselves excluded).
     */
-  private def codeIndices(s: String, from: Int): Iterator[Int] = {
+  private[core] def codeIndices(s: String, from: Int): Iterator[Int] = {
     var inString = false
     (from until s.length).iterator.filter { i =>
       val quote = s.charAt(i) == '\''
@@ -132,29 +117,25 @@ object WindowTvfRewriter {
   private def fail(fn: String, arg: String): Nothing =
     throw new IllegalArgumentException(s"$fn: missing required argument '$arg'")
 
-  private def lower(kind: String, args: Map[String, String]): (String, AppliedWindow) = {
+  private def lower(kind: String, args: Map[String, String]): String = {
     val table   = tableArg(args, kind)
     val timecol = timecolArg(args, kind)
     val dur     = EmitClause.intervalMs(args.getOrElse("dur", fail(kind, "dur")))
     val off     = args.get("offset").map(EmitClause.intervalMs).getOrElse(0L)
     kind match {
       case "tumble" =>
-        val sql =
-          s"""(SELECT __src.*,
-             |  tumble_wstart(__src.$timecol, ${dur}L, ${off}L) AS wstart,
-             |  tumble_wend(__src.$timecol, ${dur}L, ${off}L) AS wend
-             | FROM $table __src)""".stripMargin.replace('\n', ' ')
-        (sql, AppliedWindow("tumble", table, timecol, dur, None, off))
+        s"""(SELECT __src.*,
+           |  tumble_wstart(__src.$timecol, ${dur}L, ${off}L) AS wstart,
+           |  tumble_wend(__src.$timecol, ${dur}L, ${off}L) AS wend
+           | FROM $table __src)""".stripMargin.replace('\n', ' ')
       case "hop" =>
         val hop = args.get("hopsize").orElse(args.get("slide")).map(EmitClause.intervalMs)
           .getOrElse(fail("hop", "hopsize"))
-        val sql =
-          s"""(SELECT __src.*, __ws AS wstart,
-             |  event_time_plus(__ws, ${dur}L) AS wend
-             | FROM $table __src
-             | LATERAL VIEW explode(hop_wstarts(__src.$timecol, ${dur}L, ${hop}L, ${off}L)) __h AS __ws)""".stripMargin
-            .replace('\n', ' ')
-        (sql, AppliedWindow("hop", table, timecol, dur, Some(hop), off))
+        s"""(SELECT __src.*, __ws AS wstart,
+           |  event_time_plus(__ws, ${dur}L) AS wend
+           | FROM $table __src
+           | LATERAL VIEW explode(hop_wstarts(__src.$timecol, ${dur}L, ${hop}L, ${off}L)) __h AS __ws)""".stripMargin
+          .replace('\n', ' ')
     }
   }
 }

@@ -1,11 +1,10 @@
 package repro.core.expressions
 
-import org.apache.spark.sql.{Column, SparkSession}
+import org.apache.spark.sql.{Column, PlanFrames, SparkSession}
 import org.apache.spark.sql.catalyst.InternalRow
-import org.apache.spark.sql.catalyst.expressions.Expression
+import org.apache.spark.sql.catalyst.expressions.{Expression, Literal}
 import org.apache.spark.sql.catalyst.expressions.codegen.CodegenFallback
 import org.apache.spark.sql.catalyst.util.GenericArrayData
-import org.apache.spark.sql.functions.{call_function, lit}
 import org.apache.spark.sql.types._
 
 /** Native Catalyst expressions implementing the paper's event-time
@@ -14,9 +13,10 @@ import org.apache.spark.sql.types._
   * `Tumble`/`Hop` are *table-valued* in the paper; Spark SQL has no
   * user-defined polymorphic TVFs, so [[repro.core.WindowTvfRewriter]]
   * rewrites a TVF call into a projection over these expressions (plus a
-  * `LATERAL VIEW explode` for Hop's row expansion). They are registered
-  * in the session's `FunctionRegistry` — the extension point for new
-  * expressions — by [[WindowExpressions.register]].
+  * `LATERAL VIEW explode` for Hop's row expansion). SQL calls them by
+  * name once [[WindowExpressions.register]] has put them in a session's
+  * `FunctionRegistry`, the extension point for new expressions;
+  * DataFrame code builds them directly ([[WindowExpressions.tumble]]).
   *
   * Durations/offsets arrive as epoch-millisecond integral literals
   * (the rewriter lowers `INTERVAL '10' MINUTE` to `600000`). Timestamps
@@ -136,16 +136,16 @@ case class EventTimePlus(ts: Expression, millis: Expression) extends WindowExpre
 
 object WindowExpressions {
   /** `(tumble_wstart, tumble_wend)` of `ts` (offset 0) as DataFrame
-    * columns, after registering the functions in `spark`.
+    * columns.
     */
-  def tumble(spark: SparkSession, ts: Column, durMs: Long): (Column, Column) = {
-    register(spark)
-    (call_function("tumble_wstart", ts, lit(durMs), lit(0L)),
-      call_function("tumble_wend", ts, lit(durMs), lit(0L)))
+  def tumble(ts: Column, durMs: Long): (Column, Column) = {
+    val t = PlanFrames.expression(ts)
+    (PlanFrames.column(TumbleWstart(t, Literal(durMs), Literal(0L))),
+      PlanFrames.column(TumbleWend(t, Literal(durMs), Literal(0L))))
   }
 
   /** Register the window expressions as SQL-callable functions in the
-    * given session (idempotent).
+    * given session; a second call replaces them.
     */
   def register(spark: SparkSession): Unit = {
     val reg = spark.sessionState.functionRegistry

@@ -72,7 +72,7 @@ final class MicroBatchEngine(spark: SparkSession) {
 
   /** Run over `events` (columns bidtime, price, item, ptime; price integral). */
   def run(events: DataFrame, windowMs: Long, numBatches: Int, mode: EngineMode): EngineResult = {
-    val (wstart, wend) = WindowExpressions.tumble(spark, col("bidtime"), windowMs)
+    val (wstart, wend) = WindowExpressions.tumble(col("bidtime"), windowMs)
     // The first five columns are the output's: (wstart, wend, bidtime, price, item).
     val aggregated = events
       .withColumn("__batch", ntile(numBatches).over(Window.orderBy(col("ptime"), col("bidtime"))) - 1)

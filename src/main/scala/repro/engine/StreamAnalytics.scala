@@ -23,7 +23,7 @@ object StreamAnalytics {
 
   /** Tumble `events` by bidtime: adds epoch-millisecond `wstart`/`wend`. */
   private def windowed(events: DataFrame, windowMs: Long): DataFrame = {
-    val (wstart, wend) = WindowExpressions.tumble(events.sparkSession, col("bidtime"), windowMs)
+    val (wstart, wend) = WindowExpressions.tumble(col("bidtime"), windowMs)
     events
       .withColumn("wstart", unix_millis(wstart))
       .withColumn("wend", unix_millis(wend))
@@ -143,7 +143,7 @@ object StreamAnalytics {
     * reproduced by the processing-time window with the same index.
     */
   def procTimeCorrectness(events: DataFrame, windowMs: Long): Double = {
-    val (procWstart, _) = WindowExpressions.tumble(events.sparkSession, col("ptime"), windowMs)
+    val (procWstart, _) = WindowExpressions.tumble(col("ptime"), windowMs)
     val proc = events
       .withColumn("wstart", unix_millis(procWstart))
       .groupBy("wstart")

@@ -26,28 +26,4 @@ class SynthDataSpec extends SparkSpec {
       .where(col("l_orderkey") < 1 || col("l_orderkey") > nOrders + 1).count()
     assert(bad == 0)
   }
-
-  test("customer segments come from the fixed domain") {
-    val segs = SynthData.customer(spark, sf).select("c_mktsegment").distinct()
-      .collect().map(_.getString(0)).toSet
-    assert(segs.subsetOf(Set("BUILDING", "AUTOMOBILE", "MACHINERY", "HOUSEHOLD", "FURNITURE")))
-  }
-
-  test("part sizes are within 1..51") {
-    val r = SynthData.part(spark, sf).agg(min("p_size"), max("p_size")).head()
-    assert(r.getInt(0) >= 1 && r.getInt(1) <= 51)
-  }
-
-  test("zipf keys are skewed: the top key dominates a uniform draw") {
-    val z = SynthData.zipfKeys(spark, 20000, 1000)
-    val u = SynthData.uniformKeys(spark, 20000, 1000)
-    def topShare(df: org.apache.spark.sql.DataFrame): Double =
-      df.groupBy("k").count().agg(max("count")).head().getLong(0).toDouble / 20000
-    assert(topShare(z) > 3 * topShare(u))
-  }
-
-  test("uniform keys stay within the requested domain") {
-    val r = SynthData.uniformKeys(spark, 5000, 100).agg(min("k"), max("k")).head()
-    assert(r.getLong(0) >= 1 && r.getLong(1) <= 101)
-  }
 }

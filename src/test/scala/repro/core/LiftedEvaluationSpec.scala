@@ -4,6 +4,7 @@ import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 
 import repro.SparkSpec
+import repro.core.expressions.WindowExpressions
 import repro.nexmark.NexGen
 import repro.paperexample.PaperDataset
 import repro.tvr.{Diff, Times, Tvr, WatermarkTimeline}
@@ -16,6 +17,8 @@ import repro.tvr.{Diff, Times, Tvr, WatermarkTimeline}
   */
 class LiftedEvaluationSpec extends SparkSpec {
   import spark.implicits._
+
+  WindowExpressions.register(spark)
 
   private val Now = Long.MaxValue / 2
 
@@ -101,7 +104,7 @@ class LiftedEvaluationSpec extends SparkSpec {
           .where(col("__cnt") > 0)).createOrReplaceTempView(name)
       }
       itemInfo.createOrReplaceTempView("ItemInfo")
-      spark.sql(WindowTvfRewriter.rewrite(sql).sql).collect().toSeq.map(_.toSeq)
+      spark.sql(WindowTvfRewriter.rewrite(sql)).collect().toSeq.map(_.toSeq)
     }
   }
 
@@ -158,9 +161,9 @@ class LiftedEvaluationSpec extends SparkSpec {
       val in = input()
       for ((name, sql) <- qs) {
         // The oracle's input: the result at each tick, evaluated one tick
-        // at a time. The session re-registers its own views on every call.
+        // at a time.
         val snapshots         = in.ticks(sql).map(p => p -> in.resultAt(sql, p))
-        val (keyOf, complete) = gating(in, sql, spark.sql(WindowTvfRewriter.rewrite(sql).sql).columns.toSeq)
+        val (keyOf, complete) = gating(in, sql, spark.sql(WindowTvfRewriter.rewrite(sql)).columns.toSeq)
         for (mode <- modes) {
           val emit = EmitClause.split(s"$sql $mode")._2
           if (emit.afterWatermark && in.session.alignmentOf(sql).isEmpty)

@@ -4,6 +4,7 @@ import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.types.{LongType, StructType}
 
 import repro.SparkSpec
+import repro.engine.{EngineMode, MicroBatchEngine}
 import repro.paperexample.PaperDataset
 import repro.tvr.{Times, Tvr, WatermarkTimeline}
 
@@ -215,22 +216,6 @@ class StreamSqlSessionSpec extends SparkSpec {
     assert(rows(s.sql(sql, Times.hm("8:21"))) == alone)
   }
 
-  test("a session registers its views again only after another session replaced them") {
-    val a   = newSession
-    val bid = PaperDataset.bidTvr(spark)
-    val b   = new StreamSqlSession(spark)
-    b.registerStream("Bid", bid.copy(changelog = bid.changelog.where($"price" >= 4)))
-    def items(s: StreamSqlSession) =
-      s.sql("SELECT item FROM Bid", Times.hm("8:21")).collect().map(_.getString(0)).sorted.toSeq
-    val all   = items(a)
-    val entry = org.apache.spark.sql.PlanFrames.tempView(spark, "Bid").get
-    assert(items(a) == all)
-    assert(org.apache.spark.sql.PlanFrames.tempView(spark, "Bid").get eq entry, "a second call re-registered its view")
-    val some = items(b)
-    assert(some.nonEmpty && some.size < all.size)
-    assert(items(a) == all)
-  }
-
   // ------------------------------------------------------ other SparkSessions
 
   test("a session built on spark.newSession() still rejects a stream GROUP BY without event time") {
@@ -240,5 +225,31 @@ class StreamSqlSessionSpec extends SparkSpec {
     intercept[StreamSqlAnalysisException] {
       s.sql("SELECT item, MAX(price) m FROM Bid GROUP BY item", Times.hm("8:21"))
     }
+  }
+
+  test("a session writes no view or function into its SparkSession") {
+    val fresh = spark.newSession()
+    import fresh.implicits._
+    Seq(1).toDF("x").createOrReplaceTempView("Bid")
+    val s = new StreamSqlSession(fresh)
+    s.registerStream("Bid", PaperDataset.bidTvr(fresh))
+    assert(s.sql(PaperDataset.q7Sql + " EMIT STREAM", Times.hm("8:21")).count() > 0)
+    val bids = PaperDataset.arrivals
+      .map { case (p, bt, price, item) => (Times.ts(Times.hm(bt)), price.toLong, item, Times.ts(Times.hm(p))) }
+      .toDF("bidtime", "price", "item", "ptime")
+    new MicroBatchEngine(fresh).run(bids, 10 * Times.MinuteMs, numBatches = 6, EngineMode.Continuous)
+    assert(fresh.table("Bid").columns.toSeq == Seq("x"))
+    assert(!fresh.catalog.functionExists("tumble_wstart"))
+
+    // A second session over the same SparkSession, with other Bid data:
+    // each answers from its own, however the calls interleave.
+    val bid = PaperDataset.bidTvr(fresh)
+    val t   = new StreamSqlSession(fresh)
+    t.registerStream("Bid", bid.copy(changelog = bid.changelog.where($"price" >= 4)))
+    def items(session: StreamSqlSession) =
+      session.sql("SELECT item FROM Bid", Times.hm("8:21")).collect().map(_.getString(0)).sorted.toSeq
+    assert(items(s) == Seq("A", "B", "C", "D", "E", "F"))
+    assert(items(t) == Seq("C", "D", "F"))
+    assert(items(s) == Seq("A", "B", "C", "D", "E", "F"))
   }
 }
