@@ -1,5 +1,7 @@
 package repro.core
 
+import java.util.Locale
+
 import scala.collection.mutable
 import scala.jdk.CollectionConverters._
 
@@ -7,7 +9,7 @@ import org.apache.spark.sql.{DataFrame, PlanFrames, Row, SparkSession}
 import org.apache.spark.sql.catalyst.analysis.MultiInstanceRelation
 import org.apache.spark.sql.catalyst.expressions.ExprId
 import org.apache.spark.sql.catalyst.optimizer.InlineCTE
-import org.apache.spark.sql.catalyst.plans.logical.{LogicalPlan, View}
+import org.apache.spark.sql.catalyst.plans.logical.{Aggregate, Distinct, Except, Intersect, Join, LogicalPlan, Sort, View}
 import org.apache.spark.sql.types._
 
 import repro.core.EventTimeAlignment.Align
@@ -23,7 +25,13 @@ import repro.tvr.{Times, Tvr}
   * time at which an input the query reads changes or its watermark
   * advances. One Spark query computes all those snapshots at once: the
   * query is lifted over a tick dimension ([[TickLifting]]) and run over
-  * each input's snapshots at every tick ([[Tvr.snapshotsAt]]). The
+  * each input's snapshots at every tick ([[Tvr.snapshotsAt]]). When the
+  * query exchanges rows (a join, an aggregate, DISTINCT, ORDER BY), a TVR
+  * whose changelog, replicated to every tick, stays within Spark's bound
+  * for one partition (`spark.sql.maxSinglePartitionBytes`, read from the
+  * caller's SparkSession) is read in one partition, so a query over such
+  * TVRs plans no exchange and runs as one Spark stage; the bound is
+  * Spark's own, so there is no setting of the session's to tune. The
   * snapshots are fed, tick by tick, to an [[EmitStateMachine]], which
   * diffs each event-time group's rows into the changelog as the EMIT
   * modifiers direct; with no modifier that is exactly the paper's
@@ -54,36 +62,42 @@ final class StreamSqlSession(val spark: SparkSession) {
   private val catalog = spark.newSession()
   WindowExpressions.register(catalog)
 
-  /** A registered TVR, its ticks (computed once, at registration), and
-    * whether it is unbounded, which is what Extension 2 checks.
+  /** A registered TVR under the name it was last registered as, its
+    * ticks (computed once, at registration), and whether it is unbounded,
+    * which is what Extension 2 checks.
     */
-  private final case class Registered(tvr: Tvr, tickPtimes: Seq[Long], unbounded: Boolean)
-  private val tvrs = mutable.LinkedHashMap.empty[String, Registered]
+  private final case class Registered(name: String, tvr: Tvr, tickPtimes: Seq[Long], unbounded: Boolean)
+
+  /** The registered TVRs, keyed like Spark resolves a view's name:
+    * ignoring case, so registering `Bid` after `bid` replaces it.
+    */
+  private val tvrs = mutable.HashMap.empty[String, Registered]
+  private def key(name: String): String = name.toLowerCase(Locale.ROOT)
 
   /** Register an unbounded stream (append-only TVR, usually with an
     * event-time column and watermark).
     */
   def registerStream(name: String, tvr: Tvr): Unit =
-    register(name, Registered(asLeaf(name, tvr), tvr.tickPtimes, unbounded = true))
+    register(Registered(name, asLeaf(name, tvr), tvr.tickPtimes, unbounded = true))
 
   /** Register a classic (bounded, static) table. */
   def registerTable(name: String, df: DataFrame): Unit = {
     val t = Tvr.fromStatic(df)
-    register(name, Registered(t, t.tickPtimes, unbounded = false))
+    register(Registered(name, t, t.tickPtimes, unbounded = false))
   }
 
   /** Register a bounded TVR (e.g. a recorded stream replayed as a table). */
   def registerBoundedTvr(name: String, tvr: Tvr): Unit =
-    register(name, Registered(asLeaf(name, tvr), tvr.tickPtimes, unbounded = false))
+    register(Registered(name, asLeaf(name, tvr), tvr.tickPtimes, unbounded = false))
 
-  /** Record `r` under `name`, with a view for analysis: an empty relation
-    * of the TVR's data columns. It only stands in for the TVR's snapshots,
-    * which [[TickLifting]] puts in its place, so it is never run.
+  /** Record `r` under its name, with a view for analysis: an empty
+    * relation of the TVR's data columns. It only stands in for the TVR's
+    * snapshots, which [[TickLifting]] puts in its place, so it is never run.
     */
-  private def register(name: String, r: Registered): Unit = {
-    tvrs(name) = r
+  private def register(r: Registered): Unit = {
+    tvrs(key(r.name)) = r
     val data = r.tvr.changelog.schema.filter(f => r.tvr.dataColumns.contains(f.name))
-    catalog.createDataFrame(List.empty[Row].asJava, StructType(data)).createOrReplaceTempView(name)
+    catalog.createDataFrame(List.empty[Row].asJava, StructType(data)).createOrReplaceTempView(r.name)
   }
 
   /** `tvr` with its changelog as one leaf over the changelog's rows, so
@@ -117,19 +131,18 @@ final class StreamSqlSession(val spark: SparkSession) {
   private def groupKey(c: Compiled, row: Seq[Any]): Seq[Any] =
     if (c.gates.isEmpty) row else c.gates.map { case (i, _) => row(i) }
 
-  /** The registered TVR a view reads, and its name. */
-  private def tvrOf(v: View): Option[(String, Registered)] =
-    if (!v.isTempView) None
-    else tvrs.find { case (name, _) => name.equalsIgnoreCase(v.desc.identifier.table) }
+  /** The registered TVR a view reads. */
+  private def tvrOf(v: View): Option[Registered] =
+    if (!v.isTempView) None else tvrs.get(key(v.desc.identifier.table))
 
   /** The event-time column of each registered TVR's view in `plan`. */
   private def seeds(plan: LogicalPlan): Map[ExprId, Align] =
     plan.collect { case v: View => v }.flatMap { v =>
       for {
-        (name, r) <- tvrOf(v)
-        et        <- r.tvr.eventTime
-        a         <- v.output.find(_.name == et.column)
-      } yield a.exprId -> Align(name, 0L, strict = true)
+        r  <- tvrOf(v)
+        et <- r.tvr.eventTime
+        a  <- v.output.find(_.name == et.column)
+      } yield a.exprId -> Align(r.name, 0L, strict = true)
     }.toMap
 
   private def analyze(sqlText: String): (EmitSpec, LogicalPlan) = {
@@ -151,23 +164,39 @@ final class StreamSqlSession(val spark: SparkSession) {
     // needs every tick of the TVRs the query reads.
     val ticks =
       if (emit.isDefaultTable) Seq(now)
-      else plan.collect { case v: View => tvrOf(v) }.flatten.flatMap(_._2.tickPtimes).distinct.sorted.filter(_ <= now)
+      else plan.collect { case v: View => tvrOf(v) }.flatten.flatMap(_.tickPtimes).distinct.sorted.filter(_ <= now)
     // Each view of a registered TVR becomes its own fresh ticked relation,
-    // so a self-join's two sides share no attribute.
-    def ticked(v: View) = tvrOf(v).map { case (_, r) =>
-      r.tvr.snapshotsAt(ticks).queryExecution.analyzed.transformUpWithNewOutput {
+    // so a self-join's two sides share no attribute. Where rows are
+    // exchanged (by the query's joins, aggregates, DISTINCT, set
+    // differences or ORDER BY, or by netting a changelog that retracts), a
+    // changelog whose rows at all ticks together fit Spark's bound for one
+    // partition is read in one partition: no operator above it then needs
+    // an exchange, and a query over such TVRs runs as one stage. Elsewhere
+    // one partition would only forgo parallelism.
+    val exchanges = plan.exists {
+      case _: Aggregate | _: Join | _: Distinct | _: Intersect | _: Except => true
+      case s: Sort                                                        => s.global
+      case _                                                              => false
+    }
+    val maxSingle = PlanFrames.maxSinglePartitionBytes(spark)
+    def ticked(v: View) = tvrOf(v).map { r =>
+      val changelog = r.tvr.changelog
+      val small     = changelog.queryExecution.optimizedPlan.stats.sizeInBytes * ticks.size <= maxSingle
+      val tvr       =
+        if ((exchanges || !r.tvr.appendOnly) && small) r.tvr.copy(changelog = changelog.coalesce(1)) else r.tvr
+      tvr.snapshotsAt(ticks).queryExecution.analyzed.transformUpWithNewOutput {
         case leaf: MultiInstanceRelation =>
           val fresh = leaf.newInstance()
           (fresh, leaf.output.zip(fresh.output))
       }
     }
     val lifted = TickLifting.lift(plan, ticks, ticked)
-    RequireEventTimeGrouping(plan, seeded, tvrOf(_).exists(_._2.unbounded))
+    RequireEventTimeGrouping(plan, seeded, tvrOf(_).exists(_.unbounded))
     Compiled(emit, plan.schema, gates, ticks, PlanFrames.ofPlan(spark, lifted))
   }
 
   private def wmOf(source: String) =
-    tvrs(source).tvr.eventTime
+    tvrs(key(source)).tvr.eventTime
       .getOrElse(throw new StreamSqlAnalysisException(s"TVR $source has no event time column"))
       .watermark
 

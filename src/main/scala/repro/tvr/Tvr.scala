@@ -1,5 +1,7 @@
 package repro.tvr
 
+import scala.jdk.CollectionConverters._
+
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types.{BooleanType, TimestampType}
@@ -130,6 +132,7 @@ object Tvr {
     val data = rows.map { case (p, u, d) =>
       org.apache.spark.sql.Row.fromSeq(d :+ Times.ts(p) :+ u)
     }
-    Tvr(spark.createDataFrame(spark.sparkContext.parallelize(data, 1), full), appendOnly = rows.forall(!_._2))
+    // A local relation, so Spark knows its size.
+    Tvr(spark.createDataFrame(data.asJava, full), appendOnly = rows.forall(!_._2))
   }
 }

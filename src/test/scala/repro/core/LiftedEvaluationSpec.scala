@@ -14,6 +14,12 @@ import repro.tvr.{Diff, Times, Tvr, WatermarkTimeline}
   * each input's snapshot at that tick, and feeding those results to an
   * [[EmitStateMachine]]. The per-tick oracle is built here, in plain
   * Spark SQL, and shares no code with the lifting.
+  *
+  * Each query runs twice: on the shared SparkSession, where these small
+  * inputs are read in one partition wherever the query exchanges rows, so
+  * the lifted query has no exchange, and on one whose bound for one
+  * partition is a byte, where every join and aggregate exchanges its
+  * input.
   */
 class LiftedEvaluationSpec extends SparkSpec {
   import spark.implicits._
@@ -72,18 +78,27 @@ class LiftedEvaluationSpec extends SparkSpec {
     "EMIT STREAM AFTER DELAY INTERVAL '2' MINUTES AND AFTER WATERMARK",
   )
 
-  /** A session over `bid` and `ask` streams and a static `ItemInfo`. */
+  private val exchanging = {
+    val s = spark.newSession()
+    s.conf.set("spark.sql.maxSinglePartitionBytes", "1b")
+    s
+  }
+
+  /** Sessions over `bid` and `ask` streams and a static `ItemInfo`, one
+    * on each SparkSession.
+    */
   private final case class Input(name: String, bid: Tvr, ask: Tvr, now: Long) {
     val itemInfo: DataFrame =
       Seq(("A", "art"), ("D", "drums"), ("F", "fan"), ("I1", "one"), ("I3", "three"), ("Z", "zither"))
         .toDF("item", "descr")
-    val session: StreamSqlSession = {
-      val s = new StreamSqlSession(spark)
-      s.registerStream("Bid", bid)
-      s.registerStream("Ask", ask)
-      s.registerTable("ItemInfo", itemInfo)
-      s
-    }
+    val sessions: Seq[(String, StreamSqlSession)] =
+      Seq("default bound" -> spark, "one-byte bound" -> exchanging).map { case (plan, on) =>
+        val s = new StreamSqlSession(on)
+        s.registerStream("Bid", bid)
+        s.registerStream("Ask", ask)
+        s.registerTable("ItemInfo", itemInfo)
+        plan -> s
+      }
     val watermarks: Map[String, WatermarkTimeline] =
       Map("Bid" -> bid.eventTime.get.watermark, "Ask" -> ask.eventTime.get.watermark)
 
@@ -134,7 +149,7 @@ class LiftedEvaluationSpec extends SparkSpec {
     * gates on the aligned output columns, window bounds first.
     */
   private def gating(in: Input, sql: String, columns: Seq[String]) = {
-    val aligned = in.session.alignmentOf(sql).map { case (c, al) => columns.indexOf(c) -> al }
+    val aligned = in.sessions.head._2.alignmentOf(sql).map { case (c, al) => columns.indexOf(c) -> al }
     val gates   = if (aligned.exists(!_._2.strict)) aligned.filter(!_._2.strict) else aligned
     def keyOf(row: Seq[Any]) = if (gates.isEmpty) row else gates.map { case (i, _) => row(i) }
     def complete(key: Seq[Any], p: Long) = gates.zip(key).forall {
@@ -164,16 +179,16 @@ class LiftedEvaluationSpec extends SparkSpec {
         // at a time.
         val snapshots         = in.ticks(sql).map(p => p -> in.resultAt(sql, p))
         val (keyOf, complete) = gating(in, sql, spark.sql(WindowTvfRewriter.rewrite(sql)).columns.toSeq)
-        for (mode <- modes) {
+        for (mode <- modes; (plan, session) <- in.sessions) {
           val emit = EmitClause.split(s"$sql $mode")._2
-          if (emit.afterWatermark && in.session.alignmentOf(sql).isEmpty)
-            intercept[StreamSqlAnalysisException](in.session.sql(s"$sql $mode", in.now))
+          if (emit.afterWatermark && session.alignmentOf(sql).isEmpty)
+            intercept[StreamSqlAnalysisException](session.sql(s"$sql $mode", in.now))
           else {
             val m = new EmitStateMachine(emit, keyOf, complete)
             snapshots.foreach { case (p, rows) => m.tick(p, rows) }
             m.finish(in.now)
-            val actual = changes(in.session.sql(s"$sql $mode", in.now))
-            withClue(s"${in.name}, $name, $mode: ") {
+            val actual = changes(session.sql(s"$sql $mode", in.now))
+            withClue(s"${in.name}, $name, $mode, $plan: ") {
               assert(views(actual, keyOf) == views(m.changelog, keyOf))
               assert(actual.size == m.changelog.size)
             }

@@ -1,5 +1,6 @@
 package repro.core
 
+import org.apache.spark.JobTally
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.types.{LongType, StructType}
 
@@ -117,6 +118,30 @@ class StreamSqlSessionSpec extends SparkSpec {
     assert(rows(table).exists(_(4) == "LATE"))
   }
 
+  // ------------------------------------------------------ plan shape
+
+  test("a small lifted query runs as one Spark task and writes no shuffle file") {
+    def run(s: StreamSqlSession, sql: String) =
+      JobTally.of(spark.sparkContext)(rows(s.sql(sql + " EMIT STREAM", Times.hm("8:21"))))
+    val one = newSession
+    // The same query under a one-byte bound for one partition.
+    val exchanging = {
+      val fresh = spark.newSession()
+      fresh.conf.set("spark.sql.maxSinglePartitionBytes", "1b")
+      val s = new StreamSqlSession(fresh)
+      s.registerStream("Bid", PaperDataset.bidTvr(fresh))
+      s
+    }
+    val (small, tally) = run(one, PaperDataset.q7Sql)
+    assert(tally == JobTally(jobs = 1, tasks = 1, shuffleWriteBytes = 0))
+    // Over a larger TVR the query keeps its exchanges, and its changelog.
+    val (large, exchanged) = run(exchanging, PaperDataset.q7Sql)
+    assert(exchanged.jobs > 1)
+    assert(large == small)
+    // A query that exchanges no rows keeps its input's partitions.
+    assert(run(one, PaperDataset.hopSql)._2 == run(exchanging, PaperDataset.hopSql)._2)
+  }
+
   // ------------------------------------------------------ bounded replay
 
   test("a recorded stream replayed as a bounded TVR gives the same final answer") {
@@ -214,6 +239,17 @@ class StreamSqlSessionSpec extends SparkSpec {
     val s = newSession
     s.registerStream("Ask", ask)
     assert(rows(s.sql(sql, Times.hm("8:21"))) == alone)
+  }
+
+  // ------------------------------------------------------ names
+
+  test("registering a name again, in another case, replaces its TVR") {
+    val bid = PaperDataset.bidTvr(spark)
+    val s   = new StreamSqlSession(spark)
+    s.registerStream("bid", bid.copy(changelog = bid.changelog.where($"price" >= 4)))
+    s.registerStream("Bid", bid)
+    val items = s.sql("SELECT item FROM Bid", Times.hm("8:21")).collect().map(_.getString(0)).sorted.toSeq
+    assert(items == Seq("A", "B", "C", "D", "E", "F"))
   }
 
   // ------------------------------------------------------ other SparkSessions
