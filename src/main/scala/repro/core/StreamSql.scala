@@ -9,7 +9,7 @@ import org.apache.spark.sql.{DataFrame, PlanFrames, Row, SparkSession}
 import org.apache.spark.sql.catalyst.analysis.MultiInstanceRelation
 import org.apache.spark.sql.catalyst.expressions.ExprId
 import org.apache.spark.sql.catalyst.optimizer.InlineCTE
-import org.apache.spark.sql.catalyst.plans.logical.{Aggregate, Distinct, Except, Intersect, Join, LogicalPlan, Sort, View}
+import org.apache.spark.sql.catalyst.plans.logical.{LogicalPlan, View}
 import org.apache.spark.sql.types._
 
 import repro.core.EventTimeAlignment.Align
@@ -25,19 +25,19 @@ import repro.tvr.{Times, Tvr}
   * time at which an input the query reads changes or its watermark
   * advances. One Spark query computes all those snapshots at once: the
   * query is lifted over a tick dimension ([[TickLifting]]) and run over
-  * each input's snapshots at every tick ([[Tvr.snapshotsAt]]). When the
-  * query exchanges rows (a join, an aggregate, DISTINCT, ORDER BY), a TVR
-  * whose changelog, replicated to every tick, stays within Spark's bound
-  * for one partition (`spark.sql.maxSinglePartitionBytes`, read from the
-  * caller's SparkSession) is read in one partition, so a query over such
-  * TVRs plans no exchange and runs as one Spark stage; the bound is
-  * Spark's own, so there is no setting of the session's to tune. The
-  * snapshots are fed, tick by tick, to an [[EmitStateMachine]], which
-  * diffs each event-time group's rows into the changelog as the EMIT
-  * modifiers direct; with no modifier that is exactly the paper's
-  * definition of the stream rendering of a TVR. It pins down every
-  * listing in the paper; [[repro.engine.MicroBatchEngine]] is the
-  * incremental counterpart benchmarked against it.
+  * each input's snapshots at every tick ([[Tvr.snapshotsAt]]). A TVR
+  * whose rows are exchanged, by a join, an aggregate, DISTINCT,
+  * INTERSECT, EXCEPT or ORDER BY above its view or by the netting of a
+  * changelog that retracts, is read in one partition when its changelog,
+  * replicated to every tick, is small
+  * ([[StreamSqlSession.OnePartitionBytes]]), so a query over such TVRs
+  * plans no exchange and runs as one Spark stage. The snapshots are fed,
+  * tick by tick, to an [[EmitStateMachine]], which diffs each event-time
+  * group's rows into the changelog as the EMIT modifiers direct; with no
+  * modifier that is exactly the paper's definition of the stream
+  * rendering of a TVR. It pins down every listing in the paper;
+  * [[repro.engine.MicroBatchEngine]] is the incremental counterpart
+  * benchmarked against it.
   *
   * Responsibilities:
   *   - registry of named TVRs (streams are unbounded append-only TVRs,
@@ -166,24 +166,18 @@ final class StreamSqlSession(val spark: SparkSession) {
       if (emit.isDefaultTable) Seq(now)
       else plan.collect { case v: View => tvrOf(v) }.flatten.flatMap(_.tickPtimes).distinct.sorted.filter(_ <= now)
     // Each view of a registered TVR becomes its own fresh ticked relation,
-    // so a self-join's two sides share no attribute. Where rows are
-    // exchanged (by the query's joins, aggregates, DISTINCT, set
-    // differences or ORDER BY, or by netting a changelog that retracts), a
-    // changelog whose rows at all ticks together fit Spark's bound for one
-    // partition is read in one partition: no operator above it then needs
-    // an exchange, and a query over such TVRs runs as one stage. Elsewhere
-    // one partition would only forgo parallelism.
-    val exchanges = plan.exists {
-      case _: Aggregate | _: Join | _: Distinct | _: Intersect | _: Except => true
-      case s: Sort                                                        => s.global
-      case _                                                              => false
-    }
-    val maxSingle = PlanFrames.maxSinglePartitionBytes(spark)
-    def ticked(v: View) = tvrOf(v).map { r =>
+    // so a self-join's two sides share no attribute. Where its rows are
+    // exchanged (by an operator above the view, see TickLifting, or by
+    // netting a changelog that retracts), a changelog whose rows at all
+    // ticks together are small is read in one partition: nothing above it
+    // then needs an exchange, and a query over such TVRs runs as one
+    // stage. Elsewhere one partition would only forgo parallelism.
+    val maxSingle = math.min(StreamSqlSession.OnePartitionBytes, PlanFrames.maxSinglePartitionBytes(spark))
+    def ticked(v: View, exchanged: Boolean) = tvrOf(v).map { r =>
       val changelog = r.tvr.changelog
       val small     = changelog.queryExecution.optimizedPlan.stats.sizeInBytes * ticks.size <= maxSingle
       val tvr       =
-        if ((exchanges || !r.tvr.appendOnly) && small) r.tvr.copy(changelog = changelog.coalesce(1)) else r.tvr
+        if ((exchanged || !r.tvr.appendOnly) && small) r.tvr.copy(changelog = changelog.coalesce(1)) else r.tvr
       tvr.snapshotsAt(ticks).queryExecution.analyzed.transformUpWithNewOutput {
         case leaf: MultiInstanceRelation =>
           val fresh = leaf.newInstance()
@@ -263,3 +257,19 @@ final class StreamSqlSession(val spark: SparkSession) {
   }
 }
 
+object StreamSqlSession {
+
+  /** The largest changelog, in Spark's estimate of its bytes times the
+    * ticks its rows are replicated to, that a query reads in one
+    * partition to save its exchanges. It is measured, on 4 cores, with
+    * lifted Q7, a Tumble aggregate and a passthrough of a retracting
+    * changelog over 20 to 300,000 bids in 13 to 23 ticks, each read in one
+    * partition and, alternating, with exchanges (`BENCH_8.json`
+    * "partition_sweep"). One partition took 0.50 to 0.88 of the time up
+    * to 36 MB, 0.84 to 1.22 of it at 53 to 81 MB, and 1.06 to 1.72 of it
+    * at 109 and 165 MB. A SparkSession's `spark.sql.maxSinglePartitionBytes`,
+    * the most Spark itself plans in one partition without a shuffle,
+    * lowers the bound further.
+    */
+  private[core] val OnePartitionBytes: Long = 32L << 20
+}

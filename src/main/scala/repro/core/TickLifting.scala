@@ -29,16 +29,31 @@ import repro.tvr.Tvr
   *
   * Any other operator, and any subquery expression, throws
   * [[StreamSqlAnalysisException]] naming it.
+  *
+  * The lifting also tells the caller, per view, whether an operator above
+  * it exchanges rows (`exchanges`), so the caller can read a small
+  * input in one partition where that saves an exchange, and nowhere else.
   */
 private[core] object TickLifting {
 
   /** `plan` lifted over `ticks`; its output is the plan's, then `__tick`.
-    * `ticked` gives a fresh ticked relation for a view of a registered
-    * TVR, and None for any other view.
+    * `ticked(v, exchanged)` gives a fresh ticked relation for a view of a
+    * registered TVR, and None for any other view; `exchanged` says
+    * whether an operator above `v` exchanges rows.
     */
-  def lift(plan: LogicalPlan, ticks: Seq[Long], ticked: View => Option[LogicalPlan]): LogicalPlan = {
-    val Lifted(p, t) = new Lifting(ticks, ticked).lift(plan)
+  def lift(plan: LogicalPlan, ticks: Seq[Long], ticked: (View, Boolean) => Option[LogicalPlan]): LogicalPlan = {
+    val Lifted(p, t) = new Lifting(ticks, ticked).lift(plan, exchanged = false)
     Project(plan.output :+ t, p)
+  }
+
+  /** Whether Spark runs `p`, lifted, with an exchange of its input's rows
+    * (by key and tick) unless that input is in one partition: the cases
+    * of `liftOperator` that cluster, join or order their rows.
+    */
+  private def exchanges(p: LogicalPlan): Boolean = p match {
+    case _: Aggregate | _: Join | _: Distinct | _: Intersect | _: Except => true
+    case s: Sort                                                        => s.global
+    case _                                                              => false
   }
 
   private final case class Lifted(plan: LogicalPlan, tick: Attribute)
@@ -46,22 +61,24 @@ private[core] object TickLifting {
   private def unsupported(what: String): Nothing =
     throw new StreamSqlAnalysisException(s"$what is not supported: the query cannot be lifted over ticks")
 
-  private final class Lifting(ticks: Seq[Long], ticked: View => Option[LogicalPlan]) {
+  private final class Lifting(ticks: Seq[Long], ticked: (View, Boolean) => Option[LogicalPlan]) {
 
     /** The ticks as a relation of their own. */
     private def tickRelation(): LocalRelation =
       LocalRelation(Seq(AttributeReference(Tvr.TickCol, LongType, nullable = false)()),
         ticks.map(InternalRow(_)))
 
-    def lift(p: LogicalPlan): Lifted = {
+    /** `p` lifted; `exchanged` says whether an operator above it exchanges rows. */
+    def lift(p: LogicalPlan, exchanged: Boolean): Lifted = {
       if (p.expressions.exists(SubqueryExpression.hasSubquery)) unsupported("A subquery expression")
+      def kids = p.children.map(lift(_, exchanged || exchanges(p)))
       p match {
-        case v: View => ticked(v).map(tickedView(v, _)).getOrElse(liftOperator(v, v.children.map(lift)))
+        case v: View => ticked(v, exchanged).map(tickedView(v, _)).getOrElse(liftOperator(v, kids))
         case leaf: LeafNode =>
           // The same rows at every tick.
           val r = tickRelation()
           Lifted(Join(leaf, r, Cross, None, JoinHint.NONE), r.output.head)
-        case _ => liftOperator(p, p.children.map(lift))
+        case _ => liftOperator(p, kids)
       }
     }
 
@@ -77,6 +94,7 @@ private[core] object TickLifting {
     /** A branch of a set operation: its own columns, then the tick. */
     private def aligned(orig: LogicalPlan, k: Lifted): LogicalPlan = Project(orig.output :+ k.tick, k.plan)
 
+    // An operator lifted here that exchanges rows belongs in `exchanges`.
     private def liftOperator(p: LogicalPlan, kids: Seq[Lifted]): Lifted = (p, kids) match {
       case (pr: Project, Seq(Lifted(c, t)))   => Lifted(pr.copy(projectList = pr.projectList :+ t, child = c), t)
       case (f: Filter, Seq(Lifted(c, t)))     => Lifted(f.copy(child = c), t)

@@ -142,6 +142,20 @@ class StreamSqlSessionSpec extends SparkSpec {
     assert(run(one, PaperDataset.hopSql)._2 == run(exchanging, PaperDataset.hopSql)._2)
   }
 
+  test("only a view whose rows are exchanged is read in one partition") {
+    val s = newSession
+    def run(sql: String) =
+      JobTally.of(spark.sparkContext)(rows(s.sql(sql + " EMIT STREAM", Times.hm("8:21"))))._2
+    val hop   = "SELECT wstart, wend, price FROM (" + PaperDataset.hopSql + ")"
+    val group = PaperDataset.tumbleGroupSql
+    val (passthrough, aggregate, both) = (run(hop), run(group), run(s"$hop UNION ALL $group"))
+    assert(aggregate == JobTally(jobs = 1, tasks = 1, shuffleWriteBytes = 0))
+    assert(passthrough.jobs == 1 && passthrough.tasks > 1)
+    // The UNION ALL's Hop branch keeps its partitions; its aggregate
+    // branch reads its own view of Bid in one.
+    assert(both == JobTally(jobs = 1, tasks = passthrough.tasks + 1, shuffleWriteBytes = 0))
+  }
+
   // ------------------------------------------------------ bounded replay
 
   test("a recorded stream replayed as a bounded TVR gives the same final answer") {
