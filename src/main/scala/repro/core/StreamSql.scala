@@ -63,8 +63,11 @@ final class StreamSqlSession(val spark: SparkSession) {
   WindowExpressions.register(catalog)
 
   /** A registered TVR under the name it was last registered as, its
-    * ticks (computed once, at registration), and whether it is unbounded,
-    * which is what Extension 2 checks.
+    * ticks, and whether it is unbounded, which is what Extension 2 checks.
+    * The ticks are computed once, at registration, by one Spark job with
+    * no exchange over the TVR as registered ([[Tvr.tickPtimes]]): for a
+    * stream or a bounded TVR, over the leaf that `asLeaf` builds, so the
+    * caller's plan is planned once.
     */
   private final case class Registered(name: String, tvr: Tvr, tickPtimes: Seq[Long], unbounded: Boolean)
 
@@ -78,26 +81,25 @@ final class StreamSqlSession(val spark: SparkSession) {
     * event-time column and watermark).
     */
   def registerStream(name: String, tvr: Tvr): Unit =
-    register(Registered(name, asLeaf(name, tvr), tvr.tickPtimes, unbounded = true))
+    register(name, asLeaf(name, tvr), unbounded = true)
 
   /** Register a classic (bounded, static) table. */
-  def registerTable(name: String, df: DataFrame): Unit = {
-    val t = Tvr.fromStatic(df)
-    register(Registered(name, t, t.tickPtimes, unbounded = false))
-  }
+  def registerTable(name: String, df: DataFrame): Unit =
+    register(name, Tvr.fromStatic(df), unbounded = false)
 
   /** Register a bounded TVR (e.g. a recorded stream replayed as a table). */
   def registerBoundedTvr(name: String, tvr: Tvr): Unit =
-    register(Registered(name, asLeaf(name, tvr), tvr.tickPtimes, unbounded = false))
+    register(name, asLeaf(name, tvr), unbounded = false)
 
-  /** Record `r` under its name, with a view for analysis: an empty
-    * relation of the TVR's data columns. It only stands in for the TVR's
-    * snapshots, which [[TickLifting]] puts in its place, so it is never run.
+  /** Record `tvr` and its ticks under `name`, with a view for analysis: an
+    * empty relation of the TVR's data columns. It only stands in for the
+    * TVR's snapshots, which [[TickLifting]] puts in its place, so it is
+    * never run.
     */
-  private def register(r: Registered): Unit = {
-    tvrs(key(r.name)) = r
-    val data = r.tvr.changelog.schema.filter(f => r.tvr.dataColumns.contains(f.name))
-    catalog.createDataFrame(List.empty[Row].asJava, StructType(data)).createOrReplaceTempView(r.name)
+  private def register(name: String, tvr: Tvr, unbounded: Boolean): Unit = {
+    tvrs(key(name)) = Registered(name, tvr, tvr.tickPtimes, unbounded)
+    val data = tvr.changelog.schema.filter(f => tvr.dataColumns.contains(f.name))
+    catalog.createDataFrame(List.empty[Row].asJava, StructType(data)).createOrReplaceTempView(name)
   }
 
   /** `tvr` with its changelog as one leaf over the changelog's rows, so

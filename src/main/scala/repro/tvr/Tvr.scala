@@ -1,5 +1,6 @@
 package repro.tvr
 
+import scala.collection.mutable
 import scala.jdk.CollectionConverters._
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
@@ -75,13 +76,28 @@ final case class Tvr(
   /** The final snapshot (all changes applied). */
   def snapshot: DataFrame = snapshotAt(Long.MaxValue / 2)
 
-  /** Distinct processing times at which this TVR changes, ascending. */
+  /** Distinct processing times at which this TVR changes, ascending.
+    *
+    * One Spark job with no exchange: each partition sends the driver its
+    * own distinct ptimes, and the driver merges and sorts them, so the
+    * driver receives at most partitions × distinct ptimes values.
+    */
   def changePtimes: Seq[Long] =
     changelog
-      .select(unix_millis(col(PtimeCol)).as("p"))
-      .distinct()
+      .select(unix_millis(col(PtimeCol)))
+      .queryExecution
+      .toRdd
+      .mapPartitions { rows =>
+        val ptimes = mutable.HashSet.empty[Long]
+        rows.foreach { r =>
+          require(!r.isNullAt(0), s"a changelog row has a null $PtimeCol")
+          ptimes += r.getLong(0)
+        }
+        Iterator.single(ptimes.toArray)
+      }
       .collect()
-      .map(_.getLong(0))
+      .flatten
+      .distinct
       .sorted
       .toSeq
 

@@ -142,6 +142,17 @@ class StreamSqlSessionSpec extends SparkSpec {
     assert(run(one, PaperDataset.hopSql)._2 == run(exchanging, PaperDataset.hopSql)._2)
   }
 
+  test("registering a TVR runs one Spark job and writes no shuffle file") {
+    val s     = new StreamSqlSession(spark)
+    val bids  = PaperDataset.bidTvr(spark)
+    val items = Seq(("A", "art"), ("D", "drums"), ("F", "fan")).toDF("item", "descr")
+    def cost(register: => Unit) = JobTally.of(spark.sparkContext)(register)._2
+    for (c <- Seq(cost(s.registerStream("Bid", bids)), cost(s.registerTable("ItemInfo", items)))) {
+      assert(c.jobs == 1)
+      assert(c.shuffleWriteBytes == 0)
+    }
+  }
+
   test("only a view whose rows are exchanged is read in one partition") {
     val s = newSession
     def run(sql: String) =

@@ -1,10 +1,12 @@
 package repro.tvr
 
+import org.apache.spark.sql.functions.col
 import org.apache.spark.sql.types._
+import org.scalacheck.{Gen, Prop}
 
-import repro.SparkSpec
+import repro.{PropSupport, SparkSpec}
 
-class TvrSpec extends SparkSpec {
+class TvrSpec extends SparkSpec with PropSupport {
   import spark.implicits._
 
   private val schema = StructType(Seq(
@@ -46,6 +48,56 @@ class TvrSpec extends SparkSpec {
   test("changePtimes lists distinct change instants in order") {
     val t = tvr((30L, false, ("c", 3)), (10L, false, ("a", 1)), (10L, false, ("b", 2)))
     assert(t.changePtimes == Seq(10L, 30L))
+  }
+
+  /** What `changePtimes` must equal: the sorted distinct of the
+    * changelog's ptimes, collected to the driver.
+    */
+  private def collectedPtimes(t: Tvr): Seq[Long] =
+    t.changelog.collect().map(r => Times.ms(r.getAs[java.sql.Timestamp](Tvr.PtimeCol))).distinct.sorted.toSeq
+
+  private def assertTicks(t: Tvr): Unit = {
+    val ticks = t.changePtimes
+    assert(ticks == collectedPtimes(t))
+    assert(ticks.zip(ticks.drop(1)).forall { case (a, b) => a < b }, s"not strictly ascending: $ticks")
+  }
+
+  test("changePtimes merges the ptimes of every partition") {
+    val rows   = (1 to 12).map(i => (10L * (i % 3), false, (s"k$i", i)))
+    val t      = tvr(rows: _*)
+    val spread = t.copy(changelog = t.changelog.repartition(4))
+    // Precondition: some ptime is in more than one partition.
+    val perPartition = spread.changelog.select(col(Tvr.PtimeCol)).rdd
+      .mapPartitions(rs => Iterator.single(rs.map(_.getTimestamp(0).getTime).toSet)).collect()
+    assert(perPartition.count(_.nonEmpty) > 1)
+    assert(perPartition.flatten.groupBy(identity).exists(_._2.length > 1))
+    assertTicks(spread)
+    assert(spread.changePtimes == Seq(0L, 10L, 20L))
+  }
+
+  test("changePtimes counts a retraction's ptime as a change") {
+    val t = tvr((30L, false, ("a", 1)), (10L, false, ("a", 1)), (40L, true, ("a", 1)), (30L, true, ("a", 1)))
+    assert(!t.appendOnly)
+    assertTicks(t)
+    assert(t.changePtimes == Seq(10L, 30L, 40L))
+  }
+
+  test("changePtimes of an empty changelog is empty") {
+    val t = tvr()
+    assertTicks(t)
+    assert(t.changePtimes.isEmpty)
+    assert(t.copy(changelog = t.changelog.repartition(3)).changePtimes.isEmpty)
+  }
+
+  test("changePtimes is the sorted distinct of the collected ptimes, however partitioned") {
+    val row = Gen.zip(Gen.choose(0L, 5L), Gen.oneOf(false, true), Gen.oneOf("a", "b", "c"), Gen.choose(0, 3))
+    val gen = Gen.zip(Gen.listOf(row), Gen.choose(1, 5))
+    checkProp(Prop.forAll(gen) { case (rows, partitions) =>
+      val t      = tvr(rows.map { case (p, u, k, v) => (p * 1000, u, (k, v)) }: _*)
+      val spread = t.copy(changelog = t.changelog.repartition(partitions))
+      val ticks  = spread.changePtimes
+      ticks == collectedPtimes(t) && ticks == ticks.distinct.sorted
+    }, minTests = 20)
   }
 
   test("tickPtimes merges data changes with watermark advances") {
