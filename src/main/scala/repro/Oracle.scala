@@ -3,6 +3,7 @@ package repro
 import java.sql.DriverManager
 import org.apache.spark.sql.{DataFrame, Row}
 import scala.jdk.CollectionConverters._
+import scala.math.Ordering.Implicits.seqOrdering
 
 /** DuckDB correctness oracle.
   *
@@ -30,7 +31,7 @@ object Oracle {
           case x                    => x.toString
         }
       })
-      .sortBy(_.mkString(""))
+      .sorted
   }
 
   def assertEquivalent(sparkDf: DataFrame, sql: String, tables: (String, DataFrame)*): Unit = {

@@ -9,7 +9,7 @@ import org.apache.spark.sql.{DataFrame, PlanFrames, Row, SparkSession}
 import org.apache.spark.sql.catalyst.analysis.MultiInstanceRelation
 import org.apache.spark.sql.catalyst.expressions.ExprId
 import org.apache.spark.sql.catalyst.optimizer.InlineCTE
-import org.apache.spark.sql.catalyst.plans.logical.{LogicalPlan, View}
+import org.apache.spark.sql.catalyst.plans.logical.{LogicalPlan, Repartition, View}
 import org.apache.spark.sql.types._
 
 import repro.core.EventTimeAlignment.Align
@@ -62,14 +62,10 @@ final class StreamSqlSession(val spark: SparkSession) {
   private val catalog = spark.newSession()
   WindowExpressions.register(catalog)
 
-  /** A registered TVR under the name it was last registered as, its
-    * ticks, and whether it is unbounded, which is what Extension 2 checks.
-    * The ticks are computed once, at registration, by one Spark job with
-    * no exchange over the TVR as registered ([[Tvr.tickPtimes]]): for a
-    * stream or a bounded TVR, over the leaf that `asLeaf` builds, so the
-    * caller's plan is planned once.
+  /** A registered TVR under the name it was last registered as, and
+    * whether it is unbounded, which is what Extension 2 checks.
     */
-  private final case class Registered(name: String, tvr: Tvr, tickPtimes: Seq[Long], unbounded: Boolean)
+  private final case class Registered(name: String, tvr: Tvr, unbounded: Boolean)
 
   /** The registered TVRs, keyed like Spark resolves a view's name:
     * ignoring case, so registering `Bid` after `bid` replaces it.
@@ -80,38 +76,33 @@ final class StreamSqlSession(val spark: SparkSession) {
   /** Register an unbounded stream (append-only TVR, usually with an
     * event-time column and watermark).
     */
-  def registerStream(name: String, tvr: Tvr): Unit =
-    register(name, asLeaf(name, tvr), unbounded = true)
+  def registerStream(name: String, tvr: Tvr): Unit = register(name, tvr, unbounded = true)
 
   /** Register a classic (bounded, static) table. */
-  def registerTable(name: String, df: DataFrame): Unit =
-    register(name, Tvr.fromStatic(df), unbounded = false)
+  def registerTable(name: String, df: DataFrame): Unit = register(name, Tvr.fromStatic(df), unbounded = false)
 
   /** Register a bounded TVR (e.g. a recorded stream replayed as a table). */
-  def registerBoundedTvr(name: String, tvr: Tvr): Unit =
-    register(name, asLeaf(name, tvr), unbounded = false)
+  def registerBoundedTvr(name: String, tvr: Tvr): Unit = register(name, tvr, unbounded = false)
 
-  /** Record `tvr` and its ticks under `name`, with a view for analysis: an
-    * empty relation of the TVR's data columns. It only stands in for the
-    * TVR's snapshots, which [[TickLifting]] puts in its place, so it is
-    * never run.
+  /** Record `tvr` under `name` with its changelog as one leaf over the
+    * changelog's rows, so that each `sql` call plans one leaf per TVR, not
+    * the plan that made the changelog. The leaf is scanned once, now, by
+    * one Spark job with no exchange, for its ticks and whether it retracts
+    * ([[Tvr.tickPtimes]], [[Tvr.retracts]]). For analysis the name gets a
+    * view: an empty relation of the TVR's data columns. It only stands in
+    * for the TVR's snapshots, which [[TickLifting]] puts in its place, so
+    * it is never run. The event-time column must be a TIMESTAMP.
     */
   private def register(name: String, tvr: Tvr, unbounded: Boolean): Unit = {
-    tvrs(key(name)) = Registered(name, tvr, tvr.tickPtimes, unbounded)
-    val data = tvr.changelog.schema.filter(f => tvr.dataColumns.contains(f.name))
-    catalog.createDataFrame(List.empty[Row].asJava, StructType(data)).createOrReplaceTempView(name)
-  }
-
-  /** `tvr` with its changelog as one leaf over the changelog's rows, so
-    * that each `sql` call plans one leaf per TVR, not the plan that made
-    * the changelog. Its event-time column must be a TIMESTAMP.
-    */
-  private def asLeaf(name: String, tvr: Tvr): Tvr = {
     tvr.eventTime.map(et => tvr.changelog.schema(et.column)).filter(_.dataType != TimestampType).foreach { f =>
       throw new StreamSqlAnalysisException(
         s"event time column ${f.name} of TVR $name is ${f.dataType.sql}, not TIMESTAMP")
     }
-    tvr.copy(changelog = PlanFrames.leaf(tvr.changelog))
+    val leaf = tvr.copy(changelog = PlanFrames.leaf(tvr.changelog))
+    leaf.tickPtimes // the scan, here rather than in the first query
+    tvrs(key(name)) = Registered(name, leaf, unbounded)
+    val data = tvr.changelog.schema.filter(f => tvr.dataColumns.contains(f.name))
+    catalog.createDataFrame(List.empty[Row].asJava, StructType(data)).createOrReplaceTempView(name)
   }
 
   // ------------------------------------------------------------------
@@ -166,7 +157,7 @@ final class StreamSqlSession(val spark: SparkSession) {
     // needs every tick of the TVRs the query reads.
     val ticks =
       if (emit.isDefaultTable) Seq(now)
-      else plan.collect { case v: View => tvrOf(v) }.flatten.flatMap(_.tickPtimes).distinct.sorted.filter(_ <= now)
+      else plan.collect { case v: View => tvrOf(v) }.flatten.flatMap(_.tvr.tickPtimes).distinct.sorted.filter(_ <= now)
     // Each view of a registered TVR becomes its own fresh ticked relation,
     // so a self-join's two sides share no attribute. Where its rows are
     // exchanged (by an operator above the view, see TickLifting, or by
@@ -176,14 +167,12 @@ final class StreamSqlSession(val spark: SparkSession) {
     // stage. Elsewhere one partition would only forgo parallelism.
     val maxSingle = math.min(StreamSqlSession.OnePartitionBytes, PlanFrames.maxSinglePartitionBytes(spark))
     def ticked(v: View, exchanged: Boolean) = tvrOf(v).map { r =>
-      val changelog = r.tvr.changelog
-      val small     = changelog.queryExecution.optimizedPlan.stats.sizeInBytes * ticks.size <= maxSingle
-      val tvr       =
-        if ((exchanged || !r.tvr.appendOnly) && small) r.tvr.copy(changelog = changelog.coalesce(1)) else r.tvr
-      tvr.snapshotsAt(ticks).queryExecution.analyzed.transformUpWithNewOutput {
+      val small = r.tvr.changelog.queryExecution.optimizedPlan.stats.sizeInBytes * ticks.size <= maxSingle
+      val one   = (exchanged || r.tvr.retracts) && small
+      r.tvr.snapshotsAt(ticks).queryExecution.analyzed.transformUpWithNewOutput {
         case leaf: MultiInstanceRelation =>
           val fresh = leaf.newInstance()
-          (fresh, leaf.output.zip(fresh.output))
+          (if (one) Repartition(1, shuffle = false, fresh) else fresh, leaf.output.zip(fresh.output))
       }
     }
     val lifted = TickLifting.lift(plan, ticks, ticked)

@@ -138,6 +138,14 @@ object Experiments {
     )
   }
 
+  /** The benchmarks' event-time window (Q7's ten minutes), micro-batches
+    * per engine run, B1's EMIT delays and B3's buffer slacks.
+    */
+  private val WindowMs = 10 * Times.MinuteMs
+  private val Batches  = 10
+  private val B1Delays = Seq(1, 5, 10).map(_ * Times.MinuteMs)
+  private val B3Slacks = Seq(1, 2, 5, 10, 20, 30).map(_ * Times.MinuteMs)
+
   // ------------------------------------------------------------ B1
 
   final case class B1Row(mode: String, emitted: Long, reductionVsContinuous: Double)
@@ -145,17 +153,15 @@ object Experiments {
   /** B1 — "Torrents of updates": changelog rows materialized per EMIT
     * policy over a NEXMark bid stream, under its perfect watermark.
     */
-  def b1(spark: SparkSession, sf: Double,
-         windowMs: Long = 10 * Times.MinuteMs,
-         delays: Seq[Long] = Seq(1, 5, 10).map(_ * Times.MinuteMs)): Seq[B1Row] = {
+  def b1(spark: SparkSession, sf: Double): Seq[B1Row] = {
     val ev = NexGen.bids(spark, sf).select("bidtime", "price", "item", "ptime").persist()
     val wm = NexGen.perfectWatermark(ev, tickEveryMs = Times.MinuteMs)
     val policies = ("EMIT STREAM (continuous)" -> EmitSpec(stream = true)) +:
-      delays.map(d => s"EMIT STREAM AFTER DELAY ${d / Times.MinuteMs} min" ->
+      B1Delays.map(d => s"EMIT STREAM AFTER DELAY ${d / Times.MinuteMs} min" ->
         EmitSpec(stream = true, delayMs = Some(d))) :+
       ("EMIT STREAM AFTER WATERMARK" -> EmitSpec(stream = true, afterWatermark = true))
     val counts = policies.map { case (mode, emit) =>
-      mode -> StreamAnalytics.emissions(ev, windowMs, emit, wm)
+      mode -> StreamAnalytics.emissions(ev, WindowMs, emit, wm)
     }
     ev.unpersist()
     val cont = counts.head._2
@@ -175,12 +181,11 @@ object Experiments {
   /** B2 — "finite state over infinite input": rows a general operator
     * retains with vs without watermark-driven GC as the stream runs.
     */
-  def b2(spark: SparkSession, sf: Double,
-         windowMs: Long = 10 * Times.MinuteMs, batches: Int = 10): Seq[B2Row] = {
+  def b2(spark: SparkSession, sf: Double): Seq[B2Row] = {
     val ev = NexGen.bids(spark, sf).select("bidtime", "price", "item", "ptime").persist()
     val engine = new MicroBatchEngine(spark)
-    val gc   = engine.run(ev, windowMs, batches, EngineMode.AfterWatermark)
-    val noGc = engine.run(ev, windowMs, batches, EngineMode.Continuous)
+    val gc   = engine.run(ev, WindowMs, Batches, EngineMode.AfterWatermark)
+    val noGc = engine.run(ev, WindowMs, Batches, EngineMode.Continuous)
     val rows = gc.perBatch.zip(noGc.perBatch).map { case (g, n) =>
       val wm = if (g.wmMs > Long.MaxValue / 4) "+inf" else Times.fmt(g.wmMs)
       B2Row(g.batch, wm, g.arrivedRows, n.retainedRows, g.retainedRows, g.stateWindows)
@@ -202,13 +207,11 @@ object Experiments {
   /** B3 — emission latency and loss: STREAM-style heartbeat buffering at
     * fixed slack vs watermark-driven finalization.
     */
-  def b3(spark: SparkSession, sf: Double,
-         windowMs: Long = 10 * Times.MinuteMs,
-         slacks: Seq[Long] = Seq(1, 2, 5, 10, 20, 30).map(_ * Times.MinuteMs)): Seq[B3Row] = {
+  def b3(spark: SparkSession, sf: Double): Seq[B3Row] = {
     val ev = NexGen.bids(spark, sf).select("bidtime", "price", "item", "ptime").persist()
     val wm = NexGen.perfectWatermark(ev, tickEveryMs = Times.MinuteMs)
-    val (wmMean, _) = StreamAnalytics.watermarkLatency(ev, windowMs, wm)
-    val rows = slacks.map { s =>
+    val (wmMean, _) = StreamAnalytics.watermarkLatency(ev, WindowMs, wm)
+    val rows = B3Slacks.map { s =>
       val (_, dropped) = Cql.heartbeatBuffer(ev, "bidtime", "ptime", s)
       // Every window closes exactly `s` after its end, so the mean delay
       // is the slack by definition, not a measurement; it holds until
@@ -233,20 +236,19 @@ object Experiments {
     * top bid is right, per processing discipline, as mean skew grows.
     */
   def b4(spark: SparkSession, sf: Double,
-         windowMs: Long = 10 * Times.MinuteMs,
          skews: Seq[Long] = Seq(0, 1, 2, 5, 10).map(_ * Times.MinuteMs)): Seq[B4Row] = {
     val engine = new MicroBatchEngine(spark)
     skews.map { skew =>
       val ev = NexGen.bids(spark, sf, meanSkewMs = skew)
         .select("bidtime", "price", "item", "ptime").persist()
-      val wmTops = engine.run(ev, windowMs, 10, EngineMode.AfterWatermark).finalOutput
+      val wmTops = engine.run(ev, WindowMs, Batches, EngineMode.AfterWatermark).finalOutput
         .select(unix_millis(col("wstart")).as("wstart"),
           struct(col("price"), col("bidtime"), col("item")).as("top"))
       val row = B4Row(
         skew / Times.MinuteMs,
-        watermark = StreamAnalytics.fractionCorrect(wmTops, ev, windowMs),
-        arrivalOrder = StreamAnalytics.arrivalOrderCorrectness(ev, windowMs),
-        procTime = StreamAnalytics.procTimeCorrectness(ev, windowMs))
+        watermark = StreamAnalytics.fractionCorrect(wmTops, ev, WindowMs),
+        arrivalOrder = StreamAnalytics.arrivalOrderCorrectness(ev, WindowMs),
+        procTime = StreamAnalytics.procTimeCorrectness(ev, WindowMs))
       ev.unpersist()
       row
     }
@@ -267,8 +269,6 @@ object Experiments {
     * DuckDB running the equivalent SQL.
     */
   def b5(spark: SparkSession, sf: Double): Seq[B5Row] = {
-    val TenMin = 10 * Times.MinuteMs
-
     def check(name: String, ours: DataFrame, duckSql: String,
               tables: (String, DataFrame)*): B5Row = {
       val n = ours.count()
@@ -285,10 +285,10 @@ object Experiments {
     def q7Duck =
       s"""WITH w AS (
          |  SELECT CAST(bidms AS BIGINT) AS bms, CAST(price AS BIGINT) AS price, item,
-         |         CAST(floor(CAST(bidms AS BIGINT) / $TenMin.0) AS BIGINT) * $TenMin AS wstart
+         |         CAST(floor(CAST(bidms AS BIGINT) / $WindowMs.0) AS BIGINT) * $WindowMs AS wstart
          |  FROM bid
          |), m AS (SELECT wstart, MAX(price) AS maxprice FROM w GROUP BY wstart)
-         |SELECT w.wstart AS wstart, w.wstart + $TenMin AS wend,
+         |SELECT w.wstart AS wstart, w.wstart + $WindowMs AS wend,
          |       w.bms AS bidtime, w.price AS price, w.item AS item
          |FROM w JOIN m ON w.wstart = m.wstart AND w.price = m.maxprice""".stripMargin
 
@@ -308,7 +308,7 @@ object Experiments {
 
     val engine = new MicroBatchEngine(spark)
     val eng = engine.run(nexBids.select("bidtime", "price", "item", "ptime"),
-      TenMin, 10, EngineMode.AfterWatermark)
+      WindowMs, Batches, EngineMode.AfterWatermark)
     val engTops = eng.finalOutput
       .select(unix_millis(col("wstart")).as("wstart"), col("price"))
 
@@ -316,7 +316,7 @@ object Experiments {
       check("Q7 paper dataset vs DuckDB", paperQ7, q7Duck, "bid" -> duckBid(paperBids)),
       check("Q7 recorded NEXMark stream vs DuckDB", nexQ7, q7Duck, "bid" -> duckBid(nexBids)),
       check("engine after-watermark final output vs DuckDB", engTops,
-        s"""SELECT CAST(floor(CAST(bidms AS BIGINT) / $TenMin.0) AS BIGINT) * $TenMin AS wstart,
+        s"""SELECT CAST(floor(CAST(bidms AS BIGINT) / $WindowMs.0) AS BIGINT) * $WindowMs AS wstart,
            |       MAX(CAST(price AS BIGINT)) AS price
            |FROM bid GROUP BY 1""".stripMargin,
         "bid" -> duckBid(nexBids)),

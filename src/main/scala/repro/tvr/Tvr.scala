@@ -26,15 +26,10 @@ final case class EventTimeMeta(column: String, watermark: WatermarkTimeline)
   * A static table is the degenerate TVR whose changelog inserts every row
   * at `ptime = Long.MinValue`-ish (here: epoch 0) and never changes.
   *
-  * `appendOnly` states that the changelog retracts nothing, as for every
-  * source stream and static table; its snapshots then need no netting.
-  * The constructors below set it when they know it.
+  * Whether the changelog retracts is read from its rows, by the same one
+  * scan that finds its change ptimes ([[retracts]], [[changePtimes]]).
   */
-final case class Tvr(
-    changelog: DataFrame,
-    eventTime: Option[EventTimeMeta] = None,
-    appendOnly: Boolean = false,
-) {
+final case class Tvr(changelog: DataFrame, eventTime: Option[EventTimeMeta] = None) {
   import Tvr._
 
   require(changelog.columns.contains(PtimeCol), s"changelog must carry $PtimeCol")
@@ -52,16 +47,17 @@ final case class Tvr(
     * belongs to.
     *
     * Each changelog row is replicated to every tick at or after its
-    * `__ptime`. For an append-only changelog that is already every
-    * snapshot. Otherwise one groupBy on the data columns and the tick nets
-    * inserts against retractions.
+    * `__ptime`. For a changelog that never [[retracts]] that is already
+    * every snapshot. Otherwise one groupBy on the data columns and the
+    * tick nets inserts against retractions. Telling which runs the scan,
+    * if nothing ran it yet for this `Tvr`.
     */
   def snapshotsAt(ticks: Seq[Long]): DataFrame = {
     val ticked = changelog
       .withColumn(TickCol, explode(typedLit(ticks)))
       .where(col(TickCol) >= unix_millis(col(PtimeCol)))
     val cols = (dataColumns :+ TickCol).map(col)
-    if (appendOnly) ticked.select(cols: _*)
+    if (!retracts) ticked.select(cols: _*)
     else Diff.expand(
       ticked
         .groupBy(cols: _*)
@@ -76,35 +72,21 @@ final case class Tvr(
   /** The final snapshot (all changes applied). */
   def snapshot: DataFrame = snapshotAt(Long.MaxValue / 2)
 
-  /** Distinct processing times at which this TVR changes, ascending.
-    *
-    * One Spark job with no exchange: each partition sends the driver its
-    * own distinct ptimes, and the driver merges and sorts them, so the
-    * driver receives at most partitions × distinct ptimes values.
+  /** The changelog's ptimes and whether it retracts, scanned at most once
+    * per `Tvr`.
     */
-  def changePtimes: Seq[Long] =
-    changelog
-      .select(unix_millis(col(PtimeCol)))
-      .queryExecution
-      .toRdd
-      .mapPartitions { rows =>
-        val ptimes = mutable.HashSet.empty[Long]
-        rows.foreach { r =>
-          require(!r.isNullAt(0), s"a changelog row has a null $PtimeCol")
-          ptimes += r.getLong(0)
-        }
-        Iterator.single(ptimes.toArray)
-      }
-      .collect()
-      .flatten
-      .distinct
-      .sorted
-      .toSeq
+  private lazy val scanned = scan(changelog)
+
+  /** Distinct processing times at which this TVR changes, ascending. */
+  def changePtimes: Seq[Long] = scanned._1
+
+  /** Whether any change retracts a row (`__undo = true`). */
+  def retracts: Boolean = scanned._2
 
   /** All ticks at which downstream results can change: data changes plus
     * watermark advances (watermarks are semantic inputs — Section 6.2).
     */
-  def tickPtimes: Seq[Long] =
+  lazy val tickPtimes: Seq[Long] =
     (changePtimes ++ eventTime.map(_.watermark.tickPtimes).getOrElse(Vector.empty)).distinct.sorted
 
   def withWatermark(column: String, wm: WatermarkTimeline): Tvr =
@@ -116,12 +98,37 @@ object Tvr {
   val UndoCol  = "__undo"
   val TickCol  = "__tick"
 
+  /** The distinct ptimes of `changelog`, ascending, and whether it holds
+    * an undo row. One Spark job with no exchange: each partition sends the
+    * driver its own distinct ptimes and whether it retracts, and the
+    * driver merges them, so it receives at most partitions × distinct
+    * ptimes values. It reads the changelog alone, so the closure Spark
+    * ships captures no `Tvr`.
+    */
+  private def scan(changelog: DataFrame): (Seq[Long], Boolean) = {
+    val nullPtime = s"a changelog row has a null $PtimeCol"
+    val parts = changelog
+      .select(unix_millis(col(PtimeCol)), col(UndoCol))
+      .queryExecution
+      .toRdd
+      .mapPartitions { rows =>
+        val ptimes  = mutable.HashSet.empty[Long]
+        var retract = false
+        rows.foreach { r =>
+          require(!r.isNullAt(0), nullPtime)
+          ptimes += r.getLong(0)
+          retract ||= !r.isNullAt(1) && r.getBoolean(1)
+        }
+        Iterator.single((ptimes.toArray, retract))
+      }
+      .collect()
+    (parts.flatMap(_._1).distinct.sorted.toSeq, parts.exists(_._2))
+  }
+
   /** Wrap a static DataFrame as a TVR (single snapshot at epoch 0). */
   def fromStatic(df: DataFrame): Tvr = Tvr(
     df.withColumn(PtimeCol, lit(0L).cast(TimestampType))
-      .withColumn(UndoCol, lit(false).cast(BooleanType)),
-    appendOnly = true,
-  )
+      .withColumn(UndoCol, lit(false).cast(BooleanType)))
 
   /** Build an append-only TVR from an arrival log: each row is inserted at
     * the processing time in `ptimeCol` (TimestampType or epoch-millis
@@ -132,7 +139,7 @@ object Tvr {
       .withColumn(PtimeCol, col(ptimeCol).cast(TimestampType))
       .withColumn(UndoCol, lit(false).cast(BooleanType))
       .drop(ptimeCol)
-    Tvr(ptimed, appendOnly = true)
+    Tvr(ptimed)
   }
 
   /** Build from driver-side tuples `(ptimeMs, undo, dataRow)`. */
@@ -149,6 +156,6 @@ object Tvr {
       org.apache.spark.sql.Row.fromSeq(d :+ Times.ts(p) :+ u)
     }
     // A local relation, so Spark knows its size.
-    Tvr(spark.createDataFrame(data.asJava, full), appendOnly = rows.forall(!_._2))
+    Tvr(spark.createDataFrame(data.asJava, full))
   }
 }

@@ -3,9 +3,9 @@ package repro.core
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 
-import repro.{Oracle, SparkSpec, SynthData}
+import repro.{Oracle, SparkSpec}
+import repro.experiments.Experiments
 import repro.nexmark.NexGen
-import repro.paperexample.PaperDataset
 import repro.tvr.Times
 
 /** The paper's table/stream equivalence claim, checked against an
@@ -16,111 +16,64 @@ import repro.tvr.Times
   */
 class OracleEquivalenceSpec extends SparkSpec {
 
-  private val TenMin = 10 * Times.MinuteMs
-
   /** Normalize a windowed result to epoch-ms longs for oracle compare. */
   private def msCols(df: DataFrame, tsCols: String*): DataFrame =
     tsCols.foldLeft(df)((d, c) => d.withColumn(c, unix_millis(col(c))))
 
-  // ---------------------------------------------------------- NEXMark Q7
-
-  private def q7DuckSql(windowMs: Long): String =
-    s"""WITH w AS (
-       |  SELECT CAST(bidms AS BIGINT) AS bms, CAST(price AS BIGINT) AS price, item,
-       |         CAST(floor(CAST(bidms AS BIGINT) / $windowMs.0) AS BIGINT) * $windowMs AS wstart
-       |  FROM bid
-       |), m AS (
-       |  SELECT wstart, MAX(price) AS maxprice FROM w GROUP BY wstart
-       |)
-       |SELECT w.wstart AS wstart, w.wstart + $windowMs AS wend,
-       |       w.bms AS bidtime, w.price AS price, w.item AS item
-       |FROM w JOIN m ON w.wstart = m.wstart AND w.price = m.maxprice""".stripMargin
-
   private def duckBidTable(bids: DataFrame): DataFrame =
     bids.select(unix_millis(col("bidtime")).as("bidms"), col("price"), col("item"))
 
-  test("Q7 on the recorded paper dataset equals DuckDB") {
-    val session = new StreamSqlSession(spark)
-    session.registerStream("Bid", PaperDataset.bidTvr(spark))
-    val ours = msCols(
-      session.sql(PaperDataset.q7Sql, Times.hm("8:21")), "wstart", "wend", "bidtime")
-    val bidsDf = PaperDataset.bidTvr(spark).snapshot
-    Oracle.assertEquivalent(ours, q7DuckSql(TenMin), "bid" -> duckBidTable(bidsDf))
+  // ---------------------------------------------------------- B5
+
+  test("B5's checks hold at unit scale: Q7 and the engine equal DuckDB") {
+    val rows = Experiments.b5(spark, 0.001)
+    assert(rows.size == 3)
+    rows.foreach(r => assert(r.equal && r.rows > 0, r))
   }
 
-  test("Q7 over a recorded NEXMark stream equals DuckDB") {
-    val bids = NexGen.bids(spark, 0.001)
-    val session = new StreamSqlSession(spark)
-    session.registerStream("NexBid",
-      NexGen.bidTvr(bids, NexGen.perfectWatermark(bids, Times.MinuteMs)))
-    val ours = msCols(session.sql(PaperDataset.q7SqlFor("NexBid")), "wstart", "wend", "bidtime")
-    Oracle.assertEquivalent(ours, q7DuckSql(TenMin), "bid" -> duckBidTable(bids))
+  // --------------------------------------- NEXMark bids recorded as a table
+
+  /** 1,000 NEXMark bids, one every 15 minutes of event time (about ten
+    * days), recorded as a table.
+    */
+  private def recordedBids(session: StreamSqlSession): DataFrame = {
+    val bids = NexGen.bids(spark, 0.001, gapMs = 15 * Times.MinuteMs).select("bidtime", "price", "bidder")
+    session.registerTable("Bids", bids)
+    bids
   }
 
-  test("the engine's after-watermark final output equals the batch query (stream/table duality)") {
-    val bids = NexGen.bids(spark, 0.002).select("bidtime", "price", "item", "ptime")
-    val engine = new repro.engine.MicroBatchEngine(spark)
-    val res = engine.run(bids, TenMin, numBatches = 8, repro.engine.EngineMode.AfterWatermark)
-    // perfect watermark -> no drops -> final output is the batch answer,
-    // except ties: Q7 keeps all tied max bids, the engine keeps one top;
-    // compare on (wstart, price).
-    val ours = msCols(res.finalOutput, "wstart", "wend", "bidtime")
-      .select(col("wstart"), col("price"))
-    Oracle.assertEquivalent(
-      ours,
-      s"""SELECT CAST(floor(CAST(bidms AS BIGINT) / $TenMin.0) AS BIGINT) * $TenMin AS wstart,
-         |       MAX(CAST(price AS BIGINT)) AS price
-         |FROM bid GROUP BY 1""".stripMargin,
-      "bid" -> duckBidTable(bids))
-  }
-
-  // ------------------------------------------------------- TPC-H-lite
-
-  test("tumbled monthly order aggregation equals DuckDB") {
-    val orders = SynthData.orders(spark, sf = 0.002)
+  test("tumbled daily bid aggregation over a recorded table equals DuckDB") {
     val session = new StreamSqlSession(spark)
-    // Record the order stream: event time = order date as timestamp.
-    val asStream = orders.select(
-      col("o_orderdate").cast("timestamp").as("otime"),
-      col("o_totalprice"), col("o_orderkey"))
-    session.registerTable("Orders", asStream)
-    val ThirtyDays = 30 * Times.DayMs
+    val bids    = recordedBids(session)
     val ours = session.sql(
-      s"""SELECT T.wstart, COUNT(*) AS n, ROUND(SUM(T.o_totalprice), 2) AS total
-         |FROM Tumble(data => TABLE(Orders), timecol => DESCRIPTOR(otime),
-         |            dur => INTERVAL '30' DAY) T
+      s"""SELECT T.wstart, COUNT(*) AS n, ROUND(SUM(T.price) / 100.0, 2) AS dollars
+         |FROM Tumble(data => TABLE(Bids), timecol => DESCRIPTOR(bidtime),
+         |            dur => INTERVAL '1' DAY) T
          |GROUP BY T.wstart""".stripMargin)
     Oracle.assertEquivalent(
       msCols(ours, "wstart"),
-      s"""SELECT CAST(floor(CAST(oms AS BIGINT) / $ThirtyDays.0) AS BIGINT) * $ThirtyDays AS wstart,
-         |       COUNT(*) AS n, ROUND(SUM(CAST(o_totalprice AS DOUBLE)), 2) AS total
-         |FROM orders GROUP BY 1""".stripMargin,
-      "orders" -> asStream.select(
-        unix_millis(col("otime")).as("oms"), col("o_totalprice")))
+      s"""SELECT CAST(floor(CAST(bms AS BIGINT) / ${Times.DayMs}.0) AS BIGINT) * ${Times.DayMs} AS wstart,
+         |       COUNT(*) AS n, ROUND(SUM(CAST(price AS BIGINT)) / 100.0, 2) AS dollars
+         |FROM bids GROUP BY 1""".stripMargin,
+      "bids" -> bids.select(unix_millis(col("bidtime")).as("bms"), col("price")))
   }
 
-  test("lineitem pricing summary over a tumbled ship window equals DuckDB") {
-    val li = SynthData.lineitem(spark, sf = 0.001)
+  test("per-bidder summary over a tumbled two-day window equals DuckDB") {
     val session = new StreamSqlSession(spark)
-    val asStream = li.select(
-      col("l_shipdate").cast("timestamp").as("stime"),
-      col("l_returnflag"), col("l_quantity"), col("l_extendedprice"))
-    session.registerTable("Lineitem", asStream)
-    val Ninety = 90 * Times.DayMs
+    val bids    = recordedBids(session)
+    val TwoDays = 2 * Times.DayMs
     val ours = session.sql(
-      s"""SELECT T.wend, T.l_returnflag AS flag, COUNT(*) AS n,
-         |       ROUND(SUM(T.l_quantity), 2) AS qty
-         |FROM Tumble(data => TABLE(Lineitem), timecol => DESCRIPTOR(stime),
-         |            dur => INTERVAL '90' DAY) T
-         |GROUP BY T.wend, T.l_returnflag""".stripMargin)
+      s"""SELECT T.wend, T.bidder, COUNT(*) AS n, ROUND(SUM(T.price) / 100.0, 2) AS dollars
+         |FROM Tumble(data => TABLE(Bids), timecol => DESCRIPTOR(bidtime),
+         |            dur => INTERVAL '2' DAY) T
+         |GROUP BY T.wend, T.bidder""".stripMargin)
     Oracle.assertEquivalent(
       msCols(ours, "wend"),
-      s"""SELECT CAST(floor(CAST(sms AS BIGINT) / $Ninety.0) AS BIGINT) * $Ninety + $Ninety AS wend,
-         |       l_returnflag AS flag, COUNT(*) AS n,
-         |       ROUND(SUM(CAST(l_quantity AS DOUBLE)), 2) AS qty
-         |FROM lineitem GROUP BY 1, 2""".stripMargin,
-      "lineitem" -> asStream.select(
-        unix_millis(col("stime")).as("sms"), col("l_returnflag"), col("l_quantity")))
+      s"""SELECT CAST(floor(CAST(bms AS BIGINT) / $TwoDays.0) AS BIGINT) * $TwoDays + $TwoDays AS wend,
+         |       CAST(bidder AS BIGINT) AS bidder, COUNT(*) AS n,
+         |       ROUND(SUM(CAST(price AS BIGINT)) / 100.0, 2) AS dollars
+         |FROM bids GROUP BY 1, 2""".stripMargin,
+      "bids" -> bids.select(unix_millis(col("bidtime")).as("bms"), col("price"), col("bidder")))
   }
 
   test("hopping-window counts equal DuckDB's unrolled union") {

@@ -167,6 +167,28 @@ class StreamSqlSessionSpec extends SparkSpec {
     assert(both == JobTally(jobs = 1, tasks = passthrough.tasks + 1, shuffleWriteBytes = 0))
   }
 
+  test("a changelog is netted, in one partition, only if it retracts") {
+    val inserts = PaperDataset.arrivals.map { case (p, bt, price, item) =>
+      (Times.hm(p), false, Seq[Any](Times.ts(Times.hm(bt)), price, item))
+    }
+    val retractE = (Times.hm("8:19"), true, inserts.find(_._3(2) == "E").get._3)
+    def run(tvr: Tvr) = {
+      val s = new StreamSqlSession(spark)
+      s.registerStream("Bid", tvr)
+      JobTally.of(spark.sparkContext)(rows(s.sql("SELECT item, price FROM Bid EMIT STREAM", Times.hm("8:21"))))
+    }
+    // A passthrough exchanges no rows, but netting the retraction does.
+    val (retracted, netted) = run(Tvr.ofRows(spark, PaperDataset.bidSchema, inserts :+ retractE))
+    assert(netted == JobTally(jobs = 1, tasks = 1, shuffleWriteBytes = 0))
+    assert(retracted.contains(Seq("E", "1", "true", "8:19", "1")))
+    // Without the undo row nothing is netted, however the TVR was built.
+    val appendOnly = Tvr.ofRows(spark, PaperDataset.bidSchema, inserts)
+    for (tvr <- Seq(appendOnly, Tvr(appendOnly.changelog))) {
+      val (_, kept) = run(tvr)
+      assert(kept.jobs == 1 && kept.tasks > 1 && kept.shuffleWriteBytes == 0)
+    }
+  }
+
   // ------------------------------------------------------ bounded replay
 
   test("a recorded stream replayed as a bounded TVR gives the same final answer") {

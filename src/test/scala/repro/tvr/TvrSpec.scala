@@ -1,5 +1,7 @@
 package repro.tvr
 
+import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.catalyst.plans.logical.Aggregate
 import org.apache.spark.sql.functions.col
 import org.apache.spark.sql.types._
 import org.scalacheck.{Gen, Prop}
@@ -77,7 +79,7 @@ class TvrSpec extends SparkSpec with PropSupport {
 
   test("changePtimes counts a retraction's ptime as a change") {
     val t = tvr((30L, false, ("a", 1)), (10L, false, ("a", 1)), (40L, true, ("a", 1)), (30L, true, ("a", 1)))
-    assert(!t.appendOnly)
+    assert(t.retracts)
     assertTicks(t)
     assert(t.changePtimes == Seq(10L, 30L, 40L))
   }
@@ -96,7 +98,7 @@ class TvrSpec extends SparkSpec with PropSupport {
       val t      = tvr(rows.map { case (p, u, k, v) => (p * 1000, u, (k, v)) }: _*)
       val spread = t.copy(changelog = t.changelog.repartition(partitions))
       val ticks  = spread.changePtimes
-      ticks == collectedPtimes(t) && ticks == ticks.distinct.sorted
+      ticks == collectedPtimes(t) && ticks == ticks.distinct.sorted && spread.retracts == rows.exists(_._2)
     }, minTests = 20)
   }
 
@@ -122,15 +124,40 @@ class TvrSpec extends SparkSpec with PropSupport {
     assert(t.snapshotAt(200).count() == 2)
   }
 
+  /** Each tick's snapshot, netted here one tick at a time: the bag of
+    * rows inserted minus those retracted up to the tick, each row keyed
+    * with its tick.
+    */
+  private def nettedPerTick(t: Tvr, ticks: Seq[Long]): Map[Seq[Any], Int] = {
+    val changes = t.changelog.collect().toSeq.map { r =>
+      (Times.ms(r.getAs[java.sql.Timestamp](Tvr.PtimeCol)), r.getAs[Boolean](Tvr.UndoCol),
+        t.dataColumns.map(c => r.getAs[Any](c)))
+    }
+    ticks.flatMap { p =>
+      changes.filter(_._1 <= p)
+        .groupMapReduce(_._3)(c => if (c._2) -1 else 1)(_ + _)
+        .collect { case (row, n) if n > 0 => (row :+ p) -> n }
+    }.toMap
+  }
+
+  private def bag(df: DataFrame): Map[Seq[Any], Int] =
+    df.collect().toSeq.map(_.toSeq).groupMapReduce(identity)(_ => 1)(_ + _)
+
   test("an append-only changelog's snapshots equal its netted snapshots") {
     val t = tvr((10L, false, ("a", 1)), (10L, false, ("a", 1)), (20L, false, ("b", 2)))
-    assert(t.appendOnly)
+    assert(!t.retracts)
     val ticks = Seq(5L, 10L, 15L, 20L)
-    def bag(df: org.apache.spark.sql.DataFrame) = df.collect().map(_.toSeq).groupBy(identity).view.mapValues(_.length).toMap
     val snaps = bag(t.snapshotsAt(ticks))
-    assert(snaps == bag(t.copy(appendOnly = false).snapshotsAt(ticks)))
+    assert(snaps == nettedPerTick(t, ticks))
     assert(snaps.values.sum == 2 + 2 + 3)
-    assert(!tvr((10L, false, ("a", 1)), (20L, true, ("a", 1))).appendOnly)
+    // A changelog that retracts is netted; built with the case-class
+    // constructor, one that does not is not.
+    val r = tvr((10L, false, ("a", 1)), (10L, false, ("a", 1)), (20L, true, ("a", 1)), (20L, false, ("b", 2)))
+    assert(r.retracts)
+    assert(bag(r.snapshotsAt(ticks)) == nettedPerTick(r, ticks))
+    val plain = Tvr(t.changelog)
+    assert(!plain.retracts)
+    assert(plain.snapshotsAt(ticks).queryExecution.analyzed.collect { case a: Aggregate => a }.isEmpty)
   }
 
   test("snapshot equals snapshotAt(+inf)") {
