@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.tvr.Times
+import org.apache.spark.sql.catalyst.parser.{CatalystSqlParser, ParseException}
 
 /** The paper's materialization-control modifiers (Extensions 4–7).
   *
@@ -27,21 +27,12 @@ final case class EmitSpec(
 
 object EmitClause {
 
-  private val IntervalRe =
-    raw"(?is)INTERVAL\s+'(\d+)'\s+(MILLISECOND|SECOND|MINUTE|HOUR|DAY)S?".r
-
-  /** Parse an SQL interval literal to milliseconds. */
-  def intervalMs(text: String): Long = text match {
-    case IntervalRe(n, unit) =>
-      val base = unit.toUpperCase match {
-        case "MILLISECOND" => 1L
-        case "SECOND"      => 1000L
-        case "MINUTE"      => Times.MinuteMs
-        case "HOUR"        => Times.HourMs
-        case "DAY"         => Times.DayMs
-      }
-      n.toLong * base
-    case other => throw new IllegalArgumentException(s"cannot parse interval: '$other'")
+  /** Parse an SQL day-time interval literal to milliseconds. */
+  def intervalMs(text: String): Long = {
+    val e =
+      try CatalystSqlParser.parseExpression(text)
+      catch { case _: ParseException => throw new StreamSqlAnalysisException(s"cannot parse interval: '$text'") }
+    WindowTvfRewriter.intervalMs(e)
   }
 
   private val EmitRe =
@@ -69,29 +60,49 @@ object EmitClause {
           case AfterWatermarkRe()   => spec = spec.copy(afterWatermark = true)
           case AfterDelayRe(ivl)    => spec = spec.copy(delayMs = Some(intervalMs(ivl)))
           case other                =>
-            throw new IllegalArgumentException(s"cannot parse EMIT modifier: '$other'")
+            throw new StreamSqlAnalysisException(s"cannot parse EMIT modifier: '$other'")
         }
         (base, spec)
       case _ =>
-        throw new IllegalArgumentException(s"cannot parse EMIT clause: '$tail'")
+        throw new StreamSqlAnalysisException(s"cannot parse EMIT clause: '$tail'")
     }
   }
 
-  /** Find the EMIT keyword at paren-depth 0 and outside string literals;
+  /** Find the EMIT keyword at paren-depth 0, outside literals and comments;
     * EMIT applies to the top level of a query only (Section 6.5 / Future
     * Work "Nested EMIT").
     */
   private def indexOfTopLevelEmit(sql: String): Int = {
     var depth = 0
-    WindowTvfRewriter.codeIndices(sql, 0).find { i =>
+    def identAt(j: Int) = j >= 0 && j < sql.length && (Character.isLetterOrDigit(sql.charAt(j)) || sql.charAt(j) == '_')
+    codeIndices(sql).find { i =>
       sql.charAt(i) match {
         case '(' => depth += 1; false
         case ')' => depth -= 1; false
-        case _ =>
-          depth == 0 && sql.regionMatches(true, i, "EMIT", 0, 4) &&
-            (i == 0 || !Character.isLetterOrDigit(sql.charAt(i - 1))) &&
-            (i + 4 >= sql.length || !Character.isLetterOrDigit(sql.charAt(i + 4)))
+        case _ => depth == 0 && sql.regionMatches(true, i, "EMIT", 0, 4) && !identAt(i - 1) && !identAt(i + 4)
       }
     }.getOrElse(-1)
+  }
+
+  /** Indices of `s` that are SQL code: outside '...' and "..." literals
+    * (backslash escapes included), `...` identifiers, `--` comments and
+    * `/* */` comments, their delimiters excluded.
+    */
+  private def codeIndices(s: String): Seq[Int] = {
+    val code = Seq.newBuilder[Int]
+    var i    = 0
+    def skipPast(end: String): Unit = { val j = s.indexOf(end, i); i = if (j < 0) s.length else j + end.length }
+    while (i < s.length) {
+      s.charAt(i) match {
+        case '-' if s.startsWith("--", i) => skipPast("\n")
+        case '/' if s.startsWith("/*", i) => i += 2; skipPast("*/")
+        case q @ ('\'' | '"' | '`') =>
+          i += 1
+          while (i < s.length && s.charAt(i) != q) i += (if (q != '`' && s.charAt(i) == '\\') 2 else 1)
+          i += 1
+        case _ => code += i; i += 1
+      }
+    }
+    code.result()
   }
 }

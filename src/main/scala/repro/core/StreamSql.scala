@@ -13,7 +13,6 @@ import org.apache.spark.sql.catalyst.plans.logical.{LogicalPlan, Repartition, Vi
 import org.apache.spark.sql.types._
 
 import repro.core.EventTimeAlignment.Align
-import repro.core.expressions.WindowExpressions
 import repro.tvr.{Times, Tvr}
 
 /** The paper's proposal, executable: one SQL text over time-varying
@@ -45,8 +44,9 @@ import repro.tvr.{Times, Tvr}
   *     session's own catalog, a `spark.newSession()`: a query resolves
   *     only the registered names and Spark's built-ins, and the caller's
   *     temp views and functions are neither read nor written;
-  *   - EMIT parsing ([[EmitClause]]) and windowing-TVF lowering
-  *     ([[WindowTvfRewriter]]);
+  *   - EMIT parsing ([[EmitClause]]) and windowing-TVF lowering on the
+  *     parsed plan ([[WindowTvfRewriter]]), which builds the window
+  *     expressions itself, so no function is registered by name;
   *   - lifting the query over ticks ([[TickLifting]]);
   *   - watermark-alignment analysis of the analyzed plan
   *     ([[EventTimeAlignment]]), seeded from the views of the registered
@@ -56,11 +56,10 @@ import repro.tvr.{Times, Tvr}
   */
 final class StreamSqlSession(val spark: SparkSession) {
 
-  /** Where queries are analyzed: the registered TVRs' views and the
-    * window functions. Queries run on `spark`.
+  /** Where queries are analyzed: the registered TVRs' views. Queries
+    * run on `spark`.
     */
   private val catalog = spark.newSession()
-  WindowExpressions.register(catalog)
 
   /** A registered TVR under the name it was last registered as, and
     * whether it is unbounded, which is what Extension 2 checks.
@@ -141,7 +140,8 @@ final class StreamSqlSession(val spark: SparkSession) {
   private def analyze(sqlText: String): (EmitSpec, LogicalPlan) = {
     val (noEmit, emit) = EmitClause.split(sqlText)
     // CTEs are inlined, so the lifting meets every view a reference reads.
-    (emit, InlineCTE(alwaysInline = true)(catalog.sql(WindowTvfRewriter.rewrite(noEmit)).queryExecution.analyzed))
+    val analyzed = PlanFrames.ofPlan(catalog, WindowTvfRewriter.rewrite(noEmit)).queryExecution.analyzed
+    (emit, InlineCTE(alwaysInline = true)(analyzed))
   }
 
   private def compile(sqlText: String, now: Long): Compiled = {

@@ -1,7 +1,17 @@
 package repro.core
 
-/** Rewrites the paper's windowing table-valued functions (Extension 3)
-  * into standard Spark SQL.
+import java.util.Locale
+
+import org.apache.spark.sql.catalyst.analysis.{UnresolvedAttribute, UnresolvedFunction, UnresolvedStar, UnresolvedTableValuedFunction}
+import org.apache.spark.sql.catalyst.expressions.{Alias, Explode, Expression, FunctionTableSubqueryArgumentExpression, Literal, NamedArgumentExpression}
+import org.apache.spark.sql.catalyst.parser.CatalystSqlParser
+import org.apache.spark.sql.catalyst.plans.logical.{Generate, LogicalPlan, Project, SubqueryAlias, UnresolvedWith}
+import org.apache.spark.sql.types.DayTimeIntervalType
+
+import repro.core.expressions.{EventTimePlus, HopWstarts, TumbleWend, TumbleWstart}
+
+/** Lowers the paper's windowing table-valued functions (Extension 3) on
+  * Spark's parsed plan.
   *
   * The paper's surface syntax:
   * {{{
@@ -11,131 +21,90 @@ package repro.core
   *       dur => INTERVAL '10' MINUTE, hopsize => INTERVAL '5' MINUTE
   *       [, offset => ...])
   * }}}
-  * becomes a derived table that keeps every column of `data` and appends
-  * event-time interval columns `wstart`/`wend`, per the paper's column
-  * convention. `Tumble` is a pure projection; `Hop` multiplies rows via
-  * `LATERAL VIEW explode` over [[repro.core.expressions.HopWstarts]].
-  *
-  * Spark SQL cannot host user-defined polymorphic TVFs, so this textual
-  * lowering is the documented substitution for the TVF extension point;
-  * the window arithmetic itself is native Catalyst
-  * ([[repro.core.expressions.WindowExpressions]]).
+  * Spark's parser reads each call as an `UnresolvedTableValuedFunction`
+  * with named arguments; `data` may be any `TABLE(...)` argument, a name
+  * or a query. Each call becomes a plan that keeps every column of `data`
+  * and appends the event-time interval columns `wstart`/`wend`, per the
+  * paper's column convention: `Tumble` is a projection, `Hop` multiplies
+  * rows by `explode` over [[repro.core.expressions.HopWstarts]]. The
+  * window arithmetic is native Catalyst
+  * ([[repro.core.expressions.WindowExpressions]]), built here with
+  * millisecond literals, so no function is registered by name. Like
+  * Calcite's `TUMBLE`/`HOP`, the functions are table functions on the
+  * parsed tree, not on the text.
   */
 object WindowTvfRewriter {
 
-  private val CallStart = raw"(?i)\b(Tumble|Hop)\s*\(".r
+  /** `sql` parsed, with every `Tumble(...)`/`Hop(...)` call lowered. */
+  def rewrite(sql: String): LogicalPlan = lower(CatalystSqlParser.parsePlan(sql))
 
-  /** Lower every `Tumble(...)`/`Hop(...)` call in `sql`. */
-  def rewrite(sql: String): String = {
-    var text    = sql
-    var guard   = 0
-    var call    = findCall(text)
-    while (call.isDefined && guard < 64) {
-      val (start, kind, argsStart) = call.get // argsStart: just after '('
-      val argsEnd = matchParen(text, argsStart - 1)
-      val args    = parseArgs(text.substring(argsStart, argsEnd))
-      text = text.substring(0, start) + lower(kind, args) + text.substring(argsEnd + 1)
-      call = findCall(text)
-      guard += 1
-    }
-    require(call.isEmpty, "runaway TVF rewrite")
-    text
-  }
-
-  /** Indices of `s` from `from` on that lie outside '...' string
-    * literals (the quotes themselves excluded).
+  /** A WITH clause keeps its queries beside its children, where no
+    * transform looks; subquery expressions, `TABLE(...)` arguments
+    * included, are reached by the `WithSubqueries` traversal.
     */
-  private[core] def codeIndices(s: String, from: Int): Iterator[Int] = {
-    var inString = false
-    (from until s.length).iterator.filter { i =>
-      val quote = s.charAt(i) == '\''
-      val code  = !inString && !quote
-      if (quote) inString = !inString
-      code
-    }
+  private def lower(plan: LogicalPlan): LogicalPlan = plan.transformUpWithSubqueries {
+    case w: UnresolvedWith =>
+      w.copy(cteRelations = w.cteRelations.map { case (n, q, d) => (n, q.copy(child = lower(q.child)), d) })
+    case f: UnresolvedTableValuedFunction if f.name.size == 1 && Params.contains(fn(f)) => lowerCall(f)
   }
 
-  /** The first TVF call outside string literals: (start, kind, index
-    * just after its '(').
-    */
-  private def findCall(s: String): Option[(Int, String, Int)] = {
-    val m = CallStart.pattern.matcher(s).useTransparentBounds(true)
-    codeIndices(s, 0).collectFirst {
-      case i if m.region(i, s.length).lookingAt() => (i, m.group(1).toLowerCase, m.end)
+  private def fn(f: UnresolvedTableValuedFunction) = f.name.head.toLowerCase(Locale.ROOT)
+
+  /** Each function's argument names; the first three and `hopsize` are required. */
+  private val Params = Map(
+    "tumble" -> Seq("data", "timecol", "dur", "offset"),
+    "hop"    -> Seq("data", "timecol", "dur", "hopsize", "offset"))
+
+  private def fail(fn: String, msg: String): Nothing = throw new StreamSqlAnalysisException(s"$fn: $msg")
+
+  private def lowerCall(f: UnresolvedTableValuedFunction): LogicalPlan = {
+    val name = fn(f)
+    val args = f.functionArgs.map {
+      case NamedArgumentExpression(k, v) => k.toLowerCase(Locale.ROOT) -> v
+      case other => fail(name, s"TVF arguments must be named (name => value): '$other'")
     }
-  }
-
-  /** Index of the ')' closing the '(' at `open` (string-literal aware). */
-  private def matchParen(s: String, open: Int): Int = {
-    var depth = 0
-    codeIndices(s, open).find { i =>
-      s.charAt(i) match {
-        case '(' => depth += 1; false
-        case ')' => depth -= 1; depth == 0
-        case _   => false
-      }
-    }.getOrElse(throw new IllegalArgumentException(s"unbalanced parentheses in TVF call: $s"))
-  }
-
-  /** Split `a => x, b => y` on top-level commas into a name->text map. */
-  private def parseArgs(argText: String): Map[String, String] = {
-    val parts = Vector.newBuilder[String]
-    var depth = 0
-    var start = 0
-    codeIndices(argText, 0).foreach { i =>
-      argText.charAt(i) match {
-        case '(' => depth += 1
-        case ')' => depth -= 1
-        case ',' if depth == 0 =>
-          parts += argText.substring(start, i); start = i + 1
-        case _ => ()
-      }
-    }
-    parts += argText.substring(start)
-    parts.result().map(_.trim).filter(_.nonEmpty).map { p =>
-      val arrow = p.indexOf("=>")
-      require(arrow > 0, s"TVF arguments must be named (name => value): '$p'")
-      (p.substring(0, arrow).trim.toLowerCase, p.substring(arrow + 2).trim)
-    }.toMap
-  }
-
-  private val TableRe      = raw"(?is)^TABLE\s*\(\s*([A-Za-z_][\w.]*)\s*\)$$".r
-  private val DescriptorRe = raw"(?is)^DESCRIPTOR\s*\(\s*([A-Za-z_][\w.]*)\s*\)$$".r
-
-  private def tableArg(args: Map[String, String], fn: String): String =
-    args.getOrElse("data", fail(fn, "data")) match {
-      case TableRe(name) => name
-      case other         => throw new IllegalArgumentException(s"$fn: data must be TABLE(name): '$other'")
+    val names = args.map(_._1)
+    names.diff(names.distinct).headOption.foreach(k => fail(name, s"duplicate argument '$k'"))
+    names.find(!Params(name).contains(_)).foreach(k => fail(name, s"unknown argument '$k'"))
+    val byName = args.toMap
+    def arg(k: String) = byName.getOrElse(k, fail(name, s"missing required argument '$k'"))
+    def positive(k: String) = {
+      val ms = intervalMs(arg(k))
+      if (ms <= 0) fail(name, s"$k must be positive: ${arg(k)}")
+      Literal(ms)
     }
 
-  private def timecolArg(args: Map[String, String], fn: String): String =
-    args.getOrElse("timecol", fail(fn, "timecol")) match {
-      case DescriptorRe(c) => c
-      case other => throw new IllegalArgumentException(s"$fn: timecol must be DESCRIPTOR(col): '$other'")
+    val data = arg("data") match {
+      case t: FunctionTableSubqueryArgumentExpression
+          if t.partitionByExpressions.isEmpty && t.orderByExpressions.isEmpty && !t.withSinglePartition => t.plan
+      case other => fail(name, s"data must be TABLE(...) with no partitioning or order: '$other'")
     }
-
-  private def fail(fn: String, arg: String): Nothing =
-    throw new IllegalArgumentException(s"$fn: missing required argument '$arg'")
-
-  private def lower(kind: String, args: Map[String, String]): String = {
-    val table   = tableArg(args, kind)
-    val timecol = timecolArg(args, kind)
-    val dur     = EmitClause.intervalMs(args.getOrElse("dur", fail(kind, "dur")))
-    val off     = args.get("offset").map(EmitClause.intervalMs).getOrElse(0L)
-    kind match {
+    val ts = arg("timecol") match {
+      case UnresolvedFunction(Seq(d), Seq(c: UnresolvedAttribute), _, _, _, _, _) if d.equalsIgnoreCase("descriptor") => c
+      case other => fail(name, s"timecol must be DESCRIPTOR(col): '$other'")
+    }
+    val dur = positive("dur")
+    val off = Literal(byName.get("offset").map(intervalMs).getOrElse(0L))
+    name match {
       case "tumble" =>
-        s"""(SELECT __src.*,
-           |  tumble_wstart(__src.$timecol, ${dur}L, ${off}L) AS wstart,
-           |  tumble_wend(__src.$timecol, ${dur}L, ${off}L) AS wend
-           | FROM $table __src)""".stripMargin.replace('\n', ' ')
+        Project(Seq(UnresolvedStar(None), Alias(TumbleWstart(ts, dur, off), "wstart")(),
+          Alias(TumbleWend(ts, dur, off), "wend")()), data)
       case "hop" =>
-        val hop = args.get("hopsize").orElse(args.get("slide")).map(EmitClause.intervalMs)
-          .getOrElse(fail("hop", "hopsize"))
-        s"""(SELECT __src.*, __ws AS wstart,
-           |  event_time_plus(__ws, ${dur}L) AS wend
-           | FROM $table __src
-           | LATERAL VIEW explode(hop_wstarts(__src.$timecol, ${dur}L, ${hop}L, ${off}L)) __h AS __ws)""".stripMargin
-          .replace('\n', ' ')
+        val ws = UnresolvedAttribute("__ws")
+        Project(Seq(UnresolvedStar(Some(Seq("__src"))), Alias(ws, "wstart")(), Alias(EventTimePlus(ws, dur), "wend")()),
+          Generate(Explode(HopWstarts(ts, dur, positive("hopsize"), off)), Nil, outer = false, Some("__h"), Seq(ws),
+            SubqueryAlias("__src", data)))
     }
+  }
+
+  /** The milliseconds of a day-time interval literal such as
+    * `INTERVAL '10' MINUTE`; anything else, or a part of a millisecond,
+    * is an error.
+    */
+  private[core] def intervalMs(e: Expression): Long = e match {
+    case Literal(us: Long, _: DayTimeIntervalType) if us % 1000 == 0 => us / 1000
+    case Literal(_, _: DayTimeIntervalType) =>
+      throw new StreamSqlAnalysisException(s"interval is not a whole number of milliseconds: $e")
+    case _ => throw new StreamSqlAnalysisException(s"not a day-time interval literal: $e")
   }
 }

@@ -1,6 +1,6 @@
 package repro.core.expressions
 
-import org.apache.spark.sql.{Column, PlanFrames, SparkSession}
+import org.apache.spark.sql.{Column, PlanFrames}
 import org.apache.spark.sql.catalyst.InternalRow
 import org.apache.spark.sql.catalyst.expressions.{Expression, Literal}
 import org.apache.spark.sql.catalyst.expressions.codegen.CodegenFallback
@@ -12,14 +12,13 @@ import org.apache.spark.sql.types._
   *
   * `Tumble`/`Hop` are *table-valued* in the paper; Spark SQL has no
   * user-defined polymorphic TVFs, so [[repro.core.WindowTvfRewriter]]
-  * rewrites a TVF call into a projection over these expressions (plus a
-  * `LATERAL VIEW explode` for Hop's row expansion). SQL calls them by
-  * name once [[WindowExpressions.register]] has put them in a session's
-  * `FunctionRegistry`, the extension point for new expressions;
-  * DataFrame code builds them directly ([[WindowExpressions.tumble]]).
+  * lowers a TVF call in the parsed plan into a projection over these
+  * expressions (plus an `explode` generator for Hop's row expansion).
+  * No SQL text calls them by name: the lowering and DataFrame code
+  * ([[WindowExpressions.tumble]]) build them directly.
   *
   * Durations/offsets arrive as epoch-millisecond integral literals
-  * (the rewriter lowers `INTERVAL '10' MINUTE` to `600000`). Timestamps
+  * (the lowering turns `INTERVAL '10' MINUTE` into `600000L`). Timestamps
   * use Catalyst's internal microsecond encoding.
   */
 abstract class WindowExpression extends Expression with CodegenFallback {
@@ -117,7 +116,7 @@ case class HopWstarts(ts: Expression, durMs: Expression, hopMs: Expression, offM
 /** `ts + millis` preserving the watermark alignment tracked by
   * [[repro.core.EventTimeAlignment]] (plain timestamp
   * arithmetic would conservatively degrade the attribute — Section 5).
-  * Used by the Hop rewrite to derive `wend = wstart + dur`.
+  * Used by the Hop lowering to derive `wend = wstart + dur`.
   */
 case class EventTimePlus(ts: Expression, millis: Expression) extends WindowExpression {
   override def children: Seq[Expression] = Seq(ts, millis)
@@ -142,28 +141,5 @@ object WindowExpressions {
     val t = PlanFrames.expression(ts)
     (PlanFrames.column(TumbleWstart(t, Literal(durMs), Literal(0L))),
       PlanFrames.column(TumbleWend(t, Literal(durMs), Literal(0L))))
-  }
-
-  /** Register the window expressions as SQL-callable functions in the
-    * given session; a second call replaces them.
-    */
-  def register(spark: SparkSession): Unit = {
-    val reg = spark.sessionState.functionRegistry
-    reg.createOrReplaceTempFunction("tumble_wstart", args => {
-      require(args.size == 3, s"tumble_wstart(ts, durMs, offMs), got ${args.size} args")
-      TumbleWstart(args(0), args(1), args(2))
-    }, "built-in")
-    reg.createOrReplaceTempFunction("tumble_wend", args => {
-      require(args.size == 3, s"tumble_wend(ts, durMs, offMs), got ${args.size} args")
-      TumbleWend(args(0), args(1), args(2))
-    }, "built-in")
-    reg.createOrReplaceTempFunction("hop_wstarts", args => {
-      require(args.size == 4, s"hop_wstarts(ts, durMs, hopMs, offMs), got ${args.size} args")
-      HopWstarts(args(0), args(1), args(2), args(3))
-    }, "built-in")
-    reg.createOrReplaceTempFunction("event_time_plus", args => {
-      require(args.size == 2, s"event_time_plus(ts, millis), got ${args.size} args")
-      EventTimePlus(args(0), args(1))
-    }, "built-in")
   }
 }

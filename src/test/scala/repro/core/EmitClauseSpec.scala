@@ -63,9 +63,40 @@ class EmitClauseSpec extends AnyFunSuite {
     assert(spec.isDefaultTable)
   }
 
+  test("columns named my_emit and emit_at do not trigger the clause") {
+    for (c <- Seq("my_emit", "emit_at"))
+      assert(EmitClause.split(s"SELECT $c FROM t")._2.isDefaultTable, c)
+  }
+
+  test("EMIT inside a comment is not a clause") {
+    for (sql <- Seq("SELECT item /* EMIT STREAM */ FROM Bid", "SELECT item -- EMIT STREAM\nFROM Bid")) {
+      val (base, spec) = EmitClause.split(sql)
+      assert(spec.isDefaultTable)
+      assert(base == sql)
+    }
+    val (_, spec) = EmitClause.split("SELECT item /* ( */ FROM Bid EMIT STREAM")
+    assert(spec == EmitSpec(stream = true))
+  }
+
+  test("a parenthesis in double quotes, backquotes or an escaped literal is not code") {
+    for (q <- Seq("\"(\"", "`(`", "'\\'('"))
+      assert(EmitClause.split(s"SELECT $q AS s FROM t EMIT STREAM")._2 == EmitSpec(stream = true), q)
+  }
+
   test("malformed modifier is rejected") {
-    intercept[IllegalArgumentException] {
+    intercept[StreamSqlAnalysisException] {
       EmitClause.split("SELECT * FROM t EMIT SOMETIMES")
+    }
+    intercept[StreamSqlAnalysisException] {
+      EmitClause.split("SELECT * FROM t EMIT AFTER DELAY INTERVAL '1' MONTH")
+    }
+  }
+
+  test("a zero delay is accepted; a negative one is rejected") {
+    val (_, spec) = EmitClause.split("SELECT * FROM t EMIT AFTER DELAY INTERVAL '0' MINUTES")
+    assert(spec == EmitSpec(delayMs = Some(0L)))
+    intercept[StreamSqlAnalysisException] {
+      EmitClause.split("SELECT * FROM t EMIT AFTER DELAY INTERVAL '-1' MINUTE")
     }
   }
 
@@ -78,7 +109,8 @@ class EmitClauseSpec extends AnyFunSuite {
   }
 
   test("interval parsing rejects garbage") {
-    intercept[IllegalArgumentException](EmitClause.intervalMs("6 MINUTES"))
-    intercept[IllegalArgumentException](EmitClause.intervalMs("INTERVAL 'x' MINUTE"))
+    intercept[StreamSqlAnalysisException](EmitClause.intervalMs("6 MINUTES"))
+    intercept[StreamSqlAnalysisException](EmitClause.intervalMs("INTERVAL 'x' MINUTE"))
+    intercept[StreamSqlAnalysisException](EmitClause.intervalMs("INTERVAL '1' MONTH"))
   }
 }

@@ -1,10 +1,9 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{DataFrame, PlanFrames}
 import org.apache.spark.sql.functions._
 
 import repro.SparkSpec
-import repro.core.expressions.WindowExpressions
 import repro.nexmark.NexGen
 import repro.paperexample.PaperDataset
 import repro.tvr.{Diff, Times, Tvr, WatermarkTimeline}
@@ -23,8 +22,6 @@ import repro.tvr.{Diff, Times, Tvr, WatermarkTimeline}
   */
 class LiftedEvaluationSpec extends SparkSpec {
   import spark.implicits._
-
-  WindowExpressions.register(spark)
 
   private val Now = Long.MaxValue / 2
 
@@ -119,7 +116,7 @@ class LiftedEvaluationSpec extends SparkSpec {
           .where(col("__cnt") > 0)).createOrReplaceTempView(name)
       }
       itemInfo.createOrReplaceTempView("ItemInfo")
-      spark.sql(WindowTvfRewriter.rewrite(sql)).collect().toSeq.map(_.toSeq)
+      PlanFrames.ofPlan(spark, WindowTvfRewriter.rewrite(sql)).collect().toSeq.map(_.toSeq)
     }
   }
 
@@ -178,7 +175,7 @@ class LiftedEvaluationSpec extends SparkSpec {
         // The oracle's input: the result at each tick, evaluated one tick
         // at a time.
         val snapshots         = in.ticks(sql).map(p => p -> in.resultAt(sql, p))
-        val (keyOf, complete) = gating(in, sql, spark.sql(WindowTvfRewriter.rewrite(sql)).columns.toSeq)
+        val (keyOf, complete) = gating(in, sql, PlanFrames.ofPlan(spark, WindowTvfRewriter.rewrite(sql)).columns.toSeq)
         for (mode <- modes; (plan, session) <- in.sessions) {
           val emit = EmitClause.split(s"$sql $mode")._2
           if (emit.afterWatermark && session.alignmentOf(sql).isEmpty)
