@@ -22,40 +22,30 @@ import repro.core.expressions.{EventTimePlus, HopWstarts, TumbleWend, TumbleWsta
   * Propagation follows the paper's conservative rule: only verbatim
   * forwarding, grouping keys, and the windowing expressions preserve
   * alignment; anything else degrades the attribute to a plain TIMESTAMP.
+  * A UNION column is aligned only if every branch's column is.
   */
 object EventTimeAlignment {
 
   /** Alignment of one attribute with the watermark of TVR `source`. */
   final case class Align(source: String, deltaMs: Long, strict: Boolean)
 
-  private def longLit(e: Expression): Option[Long] = e match {
-    case Literal(v: Long, _)    => Some(v)
-    case Literal(v: Int, _)     => Some(v.toLong)
-    case Cast(c, _, _, _)       => longLit(c)
-    case _                      => None
-  }
-
   /** Alignment of an arbitrary expression given child-attribute aligns. */
   def exprAlign(e: Expression, m: Map[ExprId, Align]): Option[Align] = e match {
     case a: AttributeReference        => m.get(a.exprId)
     case Alias(child, _)              => exprAlign(child, m)
-    case TumbleWstart(ts, d, _)       =>
-      for (a <- exprAlign(ts, m); dur <- longLit(d)) yield Align(a.source, dur, strict = false)
-    case TumbleWend(ts, _, _)         =>
-      exprAlign(ts, m).map(a => Align(a.source, 0L, strict = false))
-    case EventTimePlus(ts, millis)    =>
-      for (a <- exprAlign(ts, m); ms <- longLit(millis))
-        yield a.copy(deltaMs = a.deltaMs - ms)
+    case TumbleWstart(ts, dur, _)     => exprAlign(ts, m).map(a => Align(a.source, dur, strict = false))
+    case TumbleWend(ts, _, _)         => exprAlign(ts, m).map(a => Align(a.source, 0L, strict = false))
+    case EventTimePlus(ts, millis)    => exprAlign(ts, m).map(a => a.copy(deltaMs = a.deltaMs - millis))
     case Cast(child, t, _, _) if t.typeName == "timestamp" => exprAlign(child, m)
     case _                            => None
   }
 
   /** Bottom-up alignment of `plan`'s output attributes; `seeds` are
-    * aligned wherever they appear.
+    * aligned where a view outputs them.
     */
   def analyze(plan: LogicalPlan, seeds: Map[ExprId, Align]): Map[ExprId, Align] = {
-    val fromChildren: Map[ExprId, Align] =
-      plan.children.map(analyze(_, seeds)).foldLeft(seeds)(_ ++ _)
+    val perChild     = plan.children.map(analyze(_, seeds))
+    val fromChildren = perChild.foldLeft(Map.empty[ExprId, Align])(_ ++ _)
 
     plan match {
       case Project(projectList, _) =>
@@ -79,9 +69,7 @@ object EventTimeAlignment {
 
       case g @ Generate(explode: Explode, _, _, _, generatorOutput, _) =>
         val hopAlign = explode.child match {
-          case HopWstarts(ts, d, _, _) =>
-            for (a <- exprAlign(ts, fromChildren); dur <- longLit(d))
-              yield Align(a.source, dur, strict = false)
+          case HopWstarts(ts, dur, _, _) => exprAlign(ts, fromChildren).map(a => Align(a.source, dur, strict = false))
           case _ => None
         }
         val gen = hopAlign match {
@@ -90,10 +78,21 @@ object EventTimeAlignment {
         }
         fromChildren.view.filterKeys(id => g.outputSet.exists(_.exprId == id)).toMap ++ gen
 
+      case v: View => seeds.view.filterKeys(id => v.output.exists(_.exprId == id)).toMap
+
+      case u: Union =>
+        // A UNION outputs its first branch's attributes. A column is
+        // aligned only if it is in every branch; it keeps the first one's
+        // alignment (and so its watermark).
+        u.output.indices.flatMap { i =>
+          val aligns = u.children.zip(perChild).map { case (c, m) => m.get(c.output(i).exprId) }
+          Option.when(aligns.forall(_.isDefined))(u.output(i).exprId -> aligns.head.get)
+        }.toMap
+
       case other =>
-        // Conservative passthrough, leaves and views included: only
-        // attributes forwarded verbatim (same ExprId in the node's output)
-        // stay aligned.
+        // Conservative passthrough, leaves included: only attributes
+        // forwarded verbatim (same ExprId in the node's output) stay
+        // aligned.
         fromChildren.view.filterKeys(id => other.outputSet.exists(_.exprId == id)).toMap
     }
   }

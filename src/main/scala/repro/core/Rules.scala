@@ -6,9 +6,12 @@ import org.apache.spark.sql.catalyst.plans.logical._
 import repro.core.EventTimeAlignment.Align
 
 /** Streaming-SQL analysis failure (our analogue of AnalysisException,
-  * whose constructors are error-class-keyed in Spark 4).
+  * whose constructors are error-class-keyed in Spark 4). Spark's own
+  * parse and analysis errors are raised as one of these, with Spark's
+  * exception as the cause.
   */
-final class StreamSqlAnalysisException(message: String) extends RuntimeException(message)
+final class StreamSqlAnalysisException(message: String, cause: Throwable = null)
+    extends RuntimeException(message, cause)
 
 /** Extension 2's static requirement: *"Every GROUP BY clause with an
   * unbounded input is required to include at least one event-time column

@@ -5,7 +5,7 @@ import java.util.Locale
 import scala.collection.mutable
 import scala.jdk.CollectionConverters._
 
-import org.apache.spark.sql.{DataFrame, PlanFrames, Row, SparkSession}
+import org.apache.spark.sql.{AnalysisException, DataFrame, PlanFrames, Row, SparkSession}
 import org.apache.spark.sql.catalyst.analysis.MultiInstanceRelation
 import org.apache.spark.sql.catalyst.expressions.ExprId
 import org.apache.spark.sql.catalyst.optimizer.InlineCTE
@@ -140,7 +140,9 @@ final class StreamSqlSession(val spark: SparkSession) {
   private def analyze(sqlText: String): (EmitSpec, LogicalPlan) = {
     val (noEmit, emit) = EmitClause.split(sqlText)
     // CTEs are inlined, so the lifting meets every view a reference reads.
-    val analyzed = PlanFrames.ofPlan(catalog, WindowTvfRewriter.rewrite(noEmit)).queryExecution.analyzed
+    val analyzed =
+      try PlanFrames.ofPlan(catalog, WindowTvfRewriter.rewrite(noEmit)).queryExecution.analyzed
+      catch { case e: AnalysisException => throw new StreamSqlAnalysisException(e.getMessage, e) }
     (emit, InlineCTE(alwaysInline = true)(analyzed))
   }
 

@@ -29,7 +29,7 @@ import repro.core.expressions.{EventTimePlus, HopWstarts, TumbleWend, TumbleWsta
   * rows by `explode` over [[repro.core.expressions.HopWstarts]]. The
   * window arithmetic is native Catalyst
   * ([[repro.core.expressions.WindowExpressions]]), built here with
-  * millisecond literals, so no function is registered by name. Like
+  * constant milliseconds, so no function is registered by name. Like
   * Calcite's `TUMBLE`/`HOP`, the functions are table functions on the
   * parsed tree, not on the text.
   */
@@ -71,7 +71,7 @@ object WindowTvfRewriter {
     def positive(k: String) = {
       val ms = intervalMs(arg(k))
       if (ms <= 0) fail(name, s"$k must be positive: ${arg(k)}")
-      Literal(ms)
+      ms
     }
 
     val data = arg("data") match {
@@ -84,7 +84,7 @@ object WindowTvfRewriter {
       case other => fail(name, s"timecol must be DESCRIPTOR(col): '$other'")
     }
     val dur = positive("dur")
-    val off = Literal(byName.get("offset").map(intervalMs).getOrElse(0L))
+    val off = byName.get("offset").map(intervalMs).getOrElse(0L)
     name match {
       case "tumble" =>
         Project(Seq(UnresolvedStar(None), Alias(TumbleWstart(ts, dur, off), "wstart")(),

@@ -1,8 +1,7 @@
 package repro.core.expressions
 
 import org.apache.spark.sql.{Column, PlanFrames}
-import org.apache.spark.sql.catalyst.InternalRow
-import org.apache.spark.sql.catalyst.expressions.{Expression, Literal}
+import org.apache.spark.sql.catalyst.expressions.{ExpectsInputTypes, Expression, UnaryExpression}
 import org.apache.spark.sql.catalyst.expressions.codegen.CodegenFallback
 import org.apache.spark.sql.catalyst.util.GenericArrayData
 import org.apache.spark.sql.types._
@@ -17,120 +16,69 @@ import org.apache.spark.sql.types._
   * No SQL text calls them by name: the lowering and DataFrame code
   * ([[WindowExpressions.tumble]]) build them directly.
   *
-  * Durations/offsets arrive as epoch-millisecond integral literals
-  * (the lowering turns `INTERVAL '10' MINUTE` into `600000L`). Timestamps
-  * use Catalyst's internal microsecond encoding.
+  * Durations and the offset are constant milliseconds, fields of the
+  * expression: its one child is the timestamp, which must be a TIMESTAMP,
+  * and a null one gives null. Timestamps use Catalyst's internal
+  * microsecond encoding.
   */
-abstract class WindowExpression extends Expression with CodegenFallback {
-  override def nullable: Boolean = true
-
-  protected def integralMillis(e: Expression, input: InternalRow): Long =
-    e.eval(input) match {
-      case null         => throw new IllegalArgumentException(s"$prettyName: null duration")
-      case n: java.lang.Number => n.longValue()
-      case other        => throw new IllegalArgumentException(s"$prettyName: not integral: $other")
-    }
-
-  override def checkInputDataTypes(): org.apache.spark.sql.catalyst.analysis.TypeCheckResult = {
-    val ok = children.head.dataType.isInstanceOf[TimestampType] &&
-      children.tail.forall(c => c.dataType == LongType || c.dataType == IntegerType)
-    if (ok) org.apache.spark.sql.catalyst.analysis.TypeCheckResult.TypeCheckSuccess
-    else org.apache.spark.sql.catalyst.analysis.TypeCheckResult.TypeCheckFailure(
-      s"$prettyName expects (TIMESTAMP, integral millis...), got ${children.map(_.dataType)}")
-  }
+abstract class WindowExpression extends UnaryExpression with ExpectsInputTypes with CodegenFallback {
+  override def inputTypes = Seq(TimestampType) // a Seq[AbstractDataType], a type private to Spark
+  override def dataType: DataType = TimestampType
 }
 
 /** Start of the tumbling window of width `durMs` (offset `offMs`)
-  * containing timestamp `ts`: the paper's `wstart` for `Tumble`.
+  * containing timestamp `child`: the paper's `wstart` for `Tumble`.
   */
-case class TumbleWstart(ts: Expression, durMs: Expression, offMs: Expression)
-    extends WindowExpression {
-  override def children: Seq[Expression] = Seq(ts, durMs, offMs)
-  override def dataType: DataType        = TimestampType
-  override def prettyName: String        = "tumble_wstart"
+case class TumbleWstart(child: Expression, durMs: Long, offMs: Long) extends WindowExpression {
+  override def prettyName: String = "tumble_wstart"
 
-  override def eval(input: InternalRow): Any = {
-    val t = ts.eval(input)
-    if (t == null) return null
-    val micros = t.asInstanceOf[Long]
-    val dur    = integralMillis(durMs, input) * 1000L
-    val off    = integralMillis(offMs, input) * 1000L
-    Math.floorDiv(micros - off, dur) * dur + off
-  }
+  override protected def nullSafeEval(ts: Any): Any = WindowExpressions.start(ts, durMs, offMs)
 
-  override protected def withNewChildrenInternal(c: IndexedSeq[Expression]): Expression =
-    copy(ts = c(0), durMs = c(1), offMs = c(2))
+  override protected def withNewChildInternal(c: Expression): Expression = copy(child = c)
 }
 
-/** End (exclusive) of the tumbling window containing `ts`. */
-case class TumbleWend(ts: Expression, durMs: Expression, offMs: Expression)
-    extends WindowExpression {
-  override def children: Seq[Expression] = Seq(ts, durMs, offMs)
-  override def dataType: DataType        = TimestampType
-  override def prettyName: String        = "tumble_wend"
+/** End (exclusive) of the tumbling window containing `child`. */
+case class TumbleWend(child: Expression, durMs: Long, offMs: Long) extends WindowExpression {
+  override def prettyName: String = "tumble_wend"
 
-  override def eval(input: InternalRow): Any = {
-    val t = ts.eval(input)
-    if (t == null) return null
-    val micros = t.asInstanceOf[Long]
-    val dur    = integralMillis(durMs, input) * 1000L
-    val off    = integralMillis(offMs, input) * 1000L
-    Math.floorDiv(micros - off, dur) * dur + off + dur
-  }
+  override protected def nullSafeEval(ts: Any): Any = WindowExpressions.start(ts, durMs, offMs) + durMs * 1000L
 
-  override protected def withNewChildrenInternal(c: IndexedSeq[Expression]): Expression =
-    copy(ts = c(0), durMs = c(1), offMs = c(2))
+  override protected def withNewChildInternal(c: Expression): Expression = copy(child = c)
 }
 
-/** All hopping-window start timestamps covering `ts`: windows are
+/** All hopping-window start timestamps covering `child`: windows are
   * `[off + k*hop, off + k*hop + dur)`; a row belongs to every window
   * whose interval contains its timestamp (paper Section 6.4.2). Returned
   * ascending; `Hop`'s row expansion is `explode` over this array.
   */
-case class HopWstarts(ts: Expression, durMs: Expression, hopMs: Expression, offMs: Expression)
-    extends WindowExpression {
-  override def children: Seq[Expression] = Seq(ts, durMs, hopMs, offMs)
-  override def dataType: DataType        = ArrayType(TimestampType, containsNull = false)
-  override def prettyName: String        = "hop_wstarts"
+case class HopWstarts(child: Expression, durMs: Long, hopMs: Long, offMs: Long) extends WindowExpression {
+  override def dataType: DataType = ArrayType(TimestampType, containsNull = false)
+  override def prettyName: String = "hop_wstarts"
 
-  override def eval(input: InternalRow): Any = {
-    val t = ts.eval(input)
-    if (t == null) return null
-    val micros = t.asInstanceOf[Long]
-    val dur    = integralMillis(durMs, input) * 1000L
-    val hop    = integralMillis(hopMs, input) * 1000L
-    val off    = integralMillis(offMs, input) * 1000L
-    val last   = Math.floorDiv(micros - off, hop) * hop + off // latest start <= ts
+  override protected def nullSafeEval(ts: Any): Any = {
+    val micros = ts.asInstanceOf[Long]
     val starts = Iterator
-      .iterate(last)(_ - hop)
-      .takeWhile(s => s + dur > micros) // window still covers ts
+      .iterate(WindowExpressions.start(ts, hopMs, offMs))(_ - hopMs * 1000L) // latest start <= ts
+      .takeWhile(_ + durMs * 1000L > micros) // window still covers ts
       .toArray
       .reverse
     new GenericArrayData(starts)
   }
 
-  override protected def withNewChildrenInternal(c: IndexedSeq[Expression]): Expression =
-    copy(ts = c(0), durMs = c(1), hopMs = c(2), offMs = c(3))
+  override protected def withNewChildInternal(c: Expression): Expression = copy(child = c)
 }
 
-/** `ts + millis` preserving the watermark alignment tracked by
+/** `child + millis` preserving the watermark alignment tracked by
   * [[repro.core.EventTimeAlignment]] (plain timestamp
   * arithmetic would conservatively degrade the attribute — Section 5).
   * Used by the Hop lowering to derive `wend = wstart + dur`.
   */
-case class EventTimePlus(ts: Expression, millis: Expression) extends WindowExpression {
-  override def children: Seq[Expression] = Seq(ts, millis)
-  override def dataType: DataType        = TimestampType
-  override def prettyName: String        = "event_time_plus"
+case class EventTimePlus(child: Expression, millis: Long) extends WindowExpression {
+  override def prettyName: String = "event_time_plus"
 
-  override def eval(input: InternalRow): Any = {
-    val t = ts.eval(input)
-    if (t == null) return null
-    t.asInstanceOf[Long] + integralMillis(millis, input) * 1000L
-  }
+  override protected def nullSafeEval(ts: Any): Any = ts.asInstanceOf[Long] + millis * 1000L
 
-  override protected def withNewChildrenInternal(c: IndexedSeq[Expression]): Expression =
-    copy(ts = c(0), millis = c(1))
+  override protected def withNewChildInternal(c: Expression): Expression = copy(child = c)
 }
 
 object WindowExpressions {
@@ -139,7 +87,14 @@ object WindowExpressions {
     */
   def tumble(ts: Column, durMs: Long): (Column, Column) = {
     val t = PlanFrames.expression(ts)
-    (PlanFrames.column(TumbleWstart(t, Literal(durMs), Literal(0L))),
-      PlanFrames.column(TumbleWend(t, Literal(durMs), Literal(0L))))
+    (PlanFrames.column(TumbleWstart(t, durMs, 0L)), PlanFrames.column(TumbleWend(t, durMs, 0L)))
+  }
+
+  /** The start, in microseconds, of the window of `durMs` on the grid
+    * shifted by `offMs` that holds the timestamp `ts`.
+    */
+  private[expressions] def start(ts: Any, durMs: Long, offMs: Long): Long = {
+    val (dur, off) = (durMs * 1000L, offMs * 1000L)
+    Math.floorDiv(ts.asInstanceOf[Long] - off, dur) * dur + off
   }
 }

@@ -28,12 +28,25 @@ object Diff {
   def toBag(rows: Seq[Row]): Map[Seq[Any], Int] =
     rows.groupBy(r => r.toSeq).map { case (k, v) => (k, v.size) }
 
+  /** Cells in a total order: nulls first, cells of one `Comparable` class
+    * by value, any others by class name and then by text.
+    */
+  private val cellOrder: Ordering[Any] = {
+    case (null, null) => 0
+    case (null, _)    => -1
+    case (_, null)    => 1
+    case (a: Comparable[_], b) if a.getClass == b.getClass => a.asInstanceOf[Comparable[Any]].compareTo(b)
+    case (a, b) =>
+      val byClass = a.getClass.getName.compareTo(b.getClass.getName)
+      if (byClass != 0) byClass else a.toString.compareTo(b.toString)
+  }
+
   /** Bag difference: rows to insert (positive multiplicity) and rows to
-    * retract, in deterministic (sorted-by-string) order.
+    * retract, each ordered by their cells, first cell first.
     */
   def bagDiff(before: Map[Seq[Any], Int], after: Map[Seq[Any], Int])
       : (Seq[Seq[Any]], Seq[Seq[Any]]) = {
-    val keys = (before.keySet ++ after.keySet).toSeq.sortBy(_.mkString(""))
+    val keys = (before.keySet ++ after.keySet).toSeq.sorted(Ordering.Implicits.seqOrdering[Seq, Any](cellOrder))
     val ins  = Vector.newBuilder[Seq[Any]]
     val del  = Vector.newBuilder[Seq[Any]]
     keys.foreach { k =>

@@ -83,6 +83,42 @@ class EmitClauseSpec extends AnyFunSuite {
       assert(EmitClause.split(s"SELECT $q AS s FROM t EMIT STREAM")._2 == EmitSpec(stream = true), q)
   }
 
+  test("EMIT inside a nested comment is not a clause") {
+    val sql = "SELECT item FROM Bid /* a /* b */ EMIT STREAM */"
+    val (base, spec) = EmitClause.split(sql)
+    assert(spec.isDefaultTable)
+    assert(base == sql)
+  }
+
+  test("a raw string ending in a backslash does not hide the clause") {
+    val (base, spec) = EmitClause.split("SELECT r'C:\\' AS p, item FROM Bid EMIT STREAM")
+    assert(spec == EmitSpec(stream = true))
+    assert(base == "SELECT r'C:\\' AS p, item FROM Bid")
+  }
+
+  test("EMIT inside a hint is not a clause") {
+    val sql = "SELECT /*+ EMIT STREAM */ item FROM Bid"
+    assert(EmitClause.split(sql) == (sql, EmitSpec()))
+    val (base, spec) = EmitClause.split("SELECT /*+ REPARTITION(2) */ item FROM Bid EMIT STREAM")
+    assert(base == "SELECT /*+ REPARTITION(2) */ item FROM Bid")
+    assert(spec == EmitSpec(stream = true))
+  }
+
+  test("a bare EMIT, or an empty modifier, is rejected") {
+    for (emit <- Seq("EMIT", "EMIT;", "EMIT AND AFTER WATERMARK", "EMIT STREAM AFTER WATERMARK AND"))
+      intercept[StreamSqlAnalysisException](EmitClause.split(s"SELECT * FROM t $emit"))
+  }
+
+  test("a repeated EMIT modifier is rejected") {
+    for (emit <- Seq(
+        "EMIT AFTER DELAY INTERVAL '1' MINUTE AND AFTER DELAY INTERVAL '2' MINUTE",
+        "EMIT STREAM AFTER WATERMARK AND AFTER WATERMARK",
+        "EMIT AFTER WATERMARK AND AFTER DELAY INTERVAL '1' MINUTE AND AFTER WATERMARK")) {
+      val e = intercept[StreamSqlAnalysisException](EmitClause.split(s"SELECT * FROM t $emit"))
+      assert(e.getMessage.contains("repeated EMIT modifier"), e.getMessage)
+    }
+  }
+
   test("malformed modifier is rejected") {
     intercept[StreamSqlAnalysisException] {
       EmitClause.split("SELECT * FROM t EMIT SOMETIMES")

@@ -69,6 +69,24 @@ class EventTimeAlignmentSpec extends SparkSpec {
     assert(m("occurred") == EventTimeAlignment.Align("Bid", 0L, strict = true))
   }
 
+  test("a UNION column is aligned only if every branch's is, in either branch order") {
+    val s = new StreamSqlSession(spark)
+    s.registerStream("Bid", PaperDataset.bidTvr(spark))
+    s.registerStream("Bid2", PaperDataset.bidTvr(spark).copy(eventTime = None))
+    val (bid, bid2) = ("SELECT bidtime, price, item FROM Bid", "SELECT bidtime, price, item FROM Bid2")
+    for ((first, second) <- Seq(bid -> bid2, bid2 -> bid)) withClue(s"$first UNION ALL $second: ") {
+      assert(s.alignmentOf(s"$first UNION ALL $second").isEmpty)
+      val e = intercept[StreamSqlAnalysisException](s.sql(
+        s"""SELECT wstart, wend, COUNT(*) AS n
+           |FROM Tumble(data => TABLE($first UNION ALL $second), timecol => DESCRIPTOR(bidtime),
+           |            dur => INTERVAL '10' MINUTE)
+           |GROUP BY wstart, wend EMIT STREAM AFTER WATERMARK""".stripMargin, Times.hm("8:21")))
+      assert(e.getMessage.contains("Extension 2"), e.getMessage)
+    }
+    assert(s.alignmentOf(s"$bid UNION ALL $bid").toMap.get("bidtime") ==
+      Some(EventTimeAlignment.Align("Bid", 0L, strict = true)))
+  }
+
   // ------------------------------------------------ Extension 2 rule
 
   test("Extension 2: GROUP BY without an event-time key over a stream is rejected") {

@@ -1,7 +1,8 @@
 package repro.core
 
 import org.apache.spark.JobTally
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{AnalysisException, DataFrame}
+import org.apache.spark.sql.catalyst.parser.ParseException
 import org.apache.spark.sql.types.{LongType, StructType}
 
 import repro.SparkSpec
@@ -234,6 +235,37 @@ class StreamSqlSessionSpec extends SparkSpec {
       new StreamSqlSession(spark).registerStream("Bid", tvr)
     }
     assert(e.getMessage.contains("not TIMESTAMP"))
+  }
+
+  /** `sql`'s failure in `sql()`, which `alignmentOf` fails with too. */
+  private def analysisError(sql: String): StreamSqlAnalysisException = {
+    val s = newSession
+    intercept[StreamSqlAnalysisException](s.alignmentOf(sql))
+    intercept[StreamSqlAnalysisException](s.sql(sql, Times.hm("8:21")))
+  }
+
+  test("a syntax error is a StreamSqlAnalysisException caused by Spark's ParseException") {
+    assert(analysisError("SELECT item FROM Bid WHERE price >").getCause.isInstanceOf[ParseException])
+  }
+
+  test("an unknown column is a StreamSqlAnalysisException caused by Spark's AnalysisException") {
+    val e = analysisError("SELECT nope FROM Bid")
+    assert(e.getCause.isInstanceOf[AnalysisException])
+    assert(e.getMessage.contains("nope"), e.getMessage)
+  }
+
+  test("a window's timecol that is not a TIMESTAMP is a StreamSqlAnalysisException") {
+    val e = analysisError(
+      "SELECT * FROM Tumble(data => TABLE(Bid), timecol => DESCRIPTOR(price), dur => INTERVAL '10' MINUTE)")
+    assert(e.getCause.isInstanceOf[AnalysisException])
+    assert(e.getMessage.contains("TIMESTAMP"), e.getMessage)
+  }
+
+  test("a raw string or a nested comment does not hide or fake the EMIT clause") {
+    val s = newSession
+    val out = rows(s.sql("SELECT r'C:\\' AS p, item FROM Bid EMIT STREAM", Times.hm("8:21")))
+    assert(out.map(r => (r(0), r(1), r(2))).sorted == Seq("A", "B", "C", "D", "E", "F").map(("C:\\", _, "false")))
+    assert(rows(s.sql("SELECT item FROM Bid /* a /* b */ EMIT STREAM */", Times.hm("8:21"))).size == 6)
   }
 
   test("an operator that cannot be lifted over ticks fails inside sql()") {

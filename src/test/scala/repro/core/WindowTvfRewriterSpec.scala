@@ -1,7 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.catalyst.analysis.{UnresolvedAttribute, UnresolvedRelation, UnresolvedStar, UnresolvedTableValuedFunction}
-import org.apache.spark.sql.catalyst.expressions.{Alias, Explode, Expression, Literal}
+import org.apache.spark.sql.catalyst.expressions.{Alias, Explode, Expression}
 import org.apache.spark.sql.catalyst.parser.CatalystSqlParser
 import org.apache.spark.sql.catalyst.plans.logical.{Generate, LogicalPlan, Project, SubqueryAlias}
 
@@ -20,8 +20,7 @@ class WindowTvfRewriterSpec extends SparkSpec {
 
   private val TimeDur = "timecol => DESCRIPTOR(bidtime), dur => INTERVAL '10' MINUTE"
   private val Bidtime = UnresolvedAttribute("bidtime")
-  private def ms(v: Long) = Literal(v)
-  private val TenMin  = ms(10 * Times.MinuteMs)
+  private val TenMin  = 10 * Times.MinuteMs
 
   /** Every expression of `plan`'s operators, subqueries included. */
   private def exprs(plan: LogicalPlan): Seq[Expression] =
@@ -44,7 +43,7 @@ class WindowTvfRewriterSpec extends SparkSpec {
       case Project(Seq(UnresolvedStar(None), Alias(ws, "wstart"), Alias(we, "wend")), r: UnresolvedRelation) =>
         (ws, we, r.multipartIdentifier)
     }
-    assert(lowered == Some((TumbleWstart(Bidtime, TenMin, ms(0L)), TumbleWend(Bidtime, TenMin, ms(0L)), Seq("Bid"))))
+    assert(lowered == Some((TumbleWstart(Bidtime, TenMin, 0L), TumbleWend(Bidtime, TenMin, 0L), Seq("Bid"))))
     assert(tvfCalls(plan).isEmpty)
   }
 
@@ -52,7 +51,7 @@ class WindowTvfRewriterSpec extends SparkSpec {
     val e = exprs(WindowTvfRewriter.rewrite(
       "SELECT * FROM Tumble(data => TABLE(T), timecol => DESCRIPTOR(ts), " +
         "dur => INTERVAL '1' HOUR, offset => INTERVAL '15' MINUTE)"))
-    val (ts, hour, off) = (UnresolvedAttribute("ts"), ms(Times.HourMs), ms(15 * Times.MinuteMs))
+    val (ts, hour, off) = (UnresolvedAttribute("ts"), Times.HourMs, 15 * Times.MinuteMs)
     assert(e.contains(TumbleWstart(ts, hour, off)))
     assert(e.contains(TumbleWend(ts, hour, off)))
   }
@@ -72,7 +71,7 @@ class WindowTvfRewriterSpec extends SparkSpec {
           Generate(Explode(h), Nil, false, _, Seq(`ws`), SubqueryAlias(_, r: UnresolvedRelation))) =>
         (d, h, r.multipartIdentifier)
     }
-    assert(lowered == Some((TenMin, HopWstarts(Bidtime, TenMin, ms(5 * Times.MinuteMs), ms(0L)), Seq("Bid"))))
+    assert(lowered == Some((TenMin, HopWstarts(Bidtime, TenMin, 5 * Times.MinuteMs, 0L), Seq("Bid"))))
   }
 
   test("a following table alias is preserved") {
@@ -80,7 +79,7 @@ class WindowTvfRewriterSpec extends SparkSpec {
       s"SELECT TB.wend FROM Tumble(data => TABLE(Bid), $TimeDur) TB GROUP BY TB.wend").collectFirst {
       case SubqueryAlias(id, p: Project) => (id.name, exprs(p).collect { case w: TumbleWend => w })
     }
-    assert(aliased == Some(("TB", Seq(TumbleWend(Bidtime, TenMin, ms(0L))))))
+    assert(aliased == Some(("TB", Seq(TumbleWend(Bidtime, TenMin, 0L)))))
     assert(rows(s"SELECT TB.e FROM Tumble(data => TABLE(Bid), $TimeDur) AS TB(t, p, i, s, e)") ==
       rows(s"SELECT wend FROM Tumble(data => TABLE(Bid), $TimeDur)"))
   }
@@ -91,14 +90,14 @@ class WindowTvfRewriterSpec extends SparkSpec {
         "Tumble(data => TABLE(B), timecol => DESCRIPTOR(u), dur => INTERVAL '2' MINUTE) y")
     assert(plan.collect { case Project(_, r: UnresolvedRelation) => r.multipartIdentifier } == Seq(Seq("A"), Seq("B")))
     assert(exprs(plan).collect { case TumbleWstart(UnresolvedAttribute(c), d, _) => (c, d) } ==
-      Seq((Seq("t"), ms(Times.MinuteMs)), (Seq("u"), ms(2 * Times.MinuteMs))))
+      Seq((Seq("t"), Times.MinuteMs), (Seq("u"), 2 * Times.MinuteMs)))
     assert(tvfCalls(plan).isEmpty)
   }
 
   test("argument order does not matter") {
     val e = exprs(WindowTvfRewriter.rewrite(
       "SELECT * FROM Tumble(dur => INTERVAL '10' MINUTE, data => TABLE(Bid), timecol => DESCRIPTOR(bidtime))"))
-    assert(e.contains(TumbleWstart(Bidtime, TenMin, ms(0L))))
+    assert(e.contains(TumbleWstart(Bidtime, TenMin, 0L)))
   }
 
   test("SQL without TVF calls passes through untouched") {
@@ -125,7 +124,7 @@ class WindowTvfRewriterSpec extends SparkSpec {
     // on the plan.
     val sub = WindowTvfRewriter.rewrite(s"SELECT item FROM Bid WHERE bidtime < (SELECT MIN(wend) FROM ($tumble) x)")
     assert(tvfCalls(sub).isEmpty)
-    assert(exprs(sub).contains(TumbleWend(Bidtime, TenMin, ms(0L))))
+    assert(exprs(sub).contains(TumbleWend(Bidtime, TenMin, 0L)))
   }
 
   test("data may be TABLE(query)") {

@@ -30,6 +30,19 @@ class DiffSpec extends SparkSpec {
     assert(dels == Seq(Seq("a"), Seq("b")))
   }
 
+  test("bagDiff orders rows whose joined cells read the same whatever the bag's order") {
+    val (a, b) = (Seq[Any]("a", "b\u0001c"), Seq[Any]("a\u0001b", "c"))
+    for (bag <- Seq(Map(a -> 1, b -> 1), Map(b -> 1, a -> 1))) {
+      assert(Diff.bagDiff(Map.empty, bag) == (Seq(a, b), Nil))
+      assert(Diff.bagDiff(bag, Map.empty) == (Nil, Seq(a, b)))
+    }
+  }
+
+  test("bagDiff orders cells by value, nulls first: 9 sorts before 10") {
+    val bag = Map(Seq[Any](10) -> 1, Seq[Any](9) -> 1, Seq[Any](null) -> 1)
+    assert(Diff.bagDiff(Map.empty, bag)._1 == Seq(Seq(null), Seq(9), Seq(10)))
+  }
+
   test("bagDiff of equal bags is empty") {
     val bag = Map(Seq[Any](1) -> 3)
     assert(Diff.bagDiff(bag, bag) == (Nil, Nil))
