@@ -47,12 +47,11 @@ import repro.tvr.{Times, Tvr}
   *   - EMIT parsing ([[EmitClause]]) and windowing-TVF lowering on the
   *     parsed plan ([[WindowTvfRewriter]]), which builds the window
   *     expressions itself, so no function is registered by name;
-  *   - lifting the query over ticks ([[TickLifting]]);
-  *   - watermark-alignment analysis of the analyzed plan
+  *   - one pass of watermark-alignment analysis over the analyzed plan
   *     ([[EventTimeAlignment]]), seeded from the views of the registered
-  *     TVRs, to find the output's completeness gates;
-  *   - Extension 2 validation of the analyzed plan
-  *     ([[RequireEventTimeGrouping]]).
+  *     TVRs, which finds the output's completeness gates and checks
+  *     Extension 2 before anything is lifted;
+  *   - lifting the query over ticks ([[TickLifting]]).
   */
 final class StreamSqlSession(val spark: SparkSession) {
 
@@ -106,60 +105,65 @@ final class StreamSqlSession(val spark: SparkSession) {
 
   // ------------------------------------------------------------------
 
-  /** A query ready to run: `lifted` computes its result snapshot at every
-    * one of `ticks`, as the result columns followed by the tick.
+  /** A query analyzed: its EMIT modifiers, its plan, its aligned output
+    * columns and, among them, its gates (output ordinal -> alignment).
     */
-  private final case class Compiled(
-      emit: EmitSpec,
-      schema: StructType,
-      gates: Seq[(Int, Align)], // output ordinal -> alignment
-      ticks: Seq[Long],
-      lifted: DataFrame,
-  )
+  private final case class Analysis(
+      emit: EmitSpec, plan: LogicalPlan, aligned: Seq[(Int, Align)], gates: Seq[(Int, Align)])
 
   /** Late-bound per-group key: the gate column values (the event-time
     * window identity), or the whole row when the query has no gates.
     */
-  private def groupKey(c: Compiled, row: Seq[Any]): Seq[Any] =
-    if (c.gates.isEmpty) row else c.gates.map { case (i, _) => row(i) }
+  private def groupKey(a: Analysis, row: Seq[Any]): Seq[Any] =
+    if (a.gates.isEmpty) row else a.gates.map { case (i, _) => row(i) }
 
   /** The registered TVR a view reads. */
   private def tvrOf(v: View): Option[Registered] =
     if (!v.isTempView) None else tvrs.get(key(v.desc.identifier.table))
 
-  /** The event-time column of each registered TVR's view in `plan`. */
-  private def seeds(plan: LogicalPlan): Map[ExprId, Align] =
-    plan.collect { case v: View => v }.flatMap { v =>
-      for {
-        r  <- tvrOf(v)
-        et <- r.tvr.eventTime
-        a  <- v.output.find(_.name == et.column)
-      } yield a.exprId -> Align(r.name, 0L, strict = true)
-    }.toMap
+  /** The event-time column of the registered TVR a view reads, aligned
+    * with the TVR's watermark.
+    */
+  private def seed(v: View): Map[ExprId, Align] =
+    (for {
+      r  <- tvrOf(v)
+      et <- r.tvr.eventTime
+      a  <- v.output.find(_.name == et.column)
+    } yield a.exprId -> Align(r.name, 0L, strict = true)).toMap
 
-  private def analyze(sqlText: String): (EmitSpec, LogicalPlan) = {
+  /** Everything `sql` checks before it lifts the query: Spark's analysis,
+    * Extension 2 and a gate for EMIT AFTER WATERMARK.
+    */
+  private def analyze(sqlText: String): Analysis = {
     val (noEmit, emit) = EmitClause.split(sqlText)
     // CTEs are inlined, so the lifting meets every view a reference reads.
     val analyzed =
       try PlanFrames.ofPlan(catalog, WindowTvfRewriter.rewrite(noEmit)).queryExecution.analyzed
       catch { case e: AnalysisException => throw new StreamSqlAnalysisException(e.getMessage, e) }
-    (emit, InlineCTE(alwaysInline = true)(analyzed))
-  }
-
-  private def compile(sqlText: String, now: Long): Compiled = {
-    val (emit, plan) = analyze(sqlText)
-    val seeded  = seeds(plan)
-    val aligns  = EventTimeAlignment.analyze(plan, seeded)
-    val all     = plan.output.zipWithIndex.flatMap { case (a, i) => aligns.get(a.exprId).map(i -> _) }
+    val plan    = InlineCTE(alwaysInline = true)(analyzed)
+    val aligns  = EventTimeAlignment.analyze(plan, seed, tvrOf(_).exists(_.unbounded))
+    val aligned = plan.output.zipWithIndex.flatMap { case (a, i) => aligns.get(a.exprId).map(i -> _) }
     // Window bounds (non-strict) gate completeness; raw event-time keys
     // (strict) only gate when the query exposes no window bounds.
-    val bounds  = all.filter(!_._2.strict)
-    val gates   = if (bounds.nonEmpty) bounds else all
+    val bounds = aligned.filter(!_._2.strict)
+    val gates  = if (bounds.nonEmpty) bounds else aligned
+    if (emit.afterWatermark && gates.isEmpty)
+      throw new StreamSqlAnalysisException(
+        "EMIT AFTER WATERMARK requires a watermark-aligned event-time column " +
+          "in the query output (none found by alignment analysis)")
+    Analysis(emit, plan, aligned, gates)
+  }
+
+  /** The ticks the analyzed query is evaluated at, and one query that
+    * computes its result snapshot at every one of them, as the result
+    * columns followed by the tick.
+    */
+  private def lift(a: Analysis, now: Long): (Seq[Long], DataFrame) = {
     // The table rendering is the snapshot at `now`; the stream rendering
     // needs every tick of the TVRs the query reads.
     val ticks =
-      if (emit.isDefaultTable) Seq(now)
-      else plan.collect { case v: View => tvrOf(v) }.flatten.flatMap(_.tvr.tickPtimes).distinct.sorted.filter(_ <= now)
+      if (a.emit.isDefaultTable) Seq(now)
+      else a.plan.collect { case v: View => tvrOf(v) }.flatten.flatMap(_.tvr.tickPtimes).distinct.sorted.filter(_ <= now)
     // Each view of a registered TVR becomes its own fresh ticked relation,
     // so a self-join's two sides share no attribute. Where its rows are
     // exchanged (by an operator above the view, see TickLifting, or by
@@ -177,9 +181,7 @@ final class StreamSqlSession(val spark: SparkSession) {
           (if (one) Repartition(1, shuffle = false, fresh) else fresh, leaf.output.zip(fresh.output))
       }
     }
-    val lifted = TickLifting.lift(plan, ticks, ticked)
-    RequireEventTimeGrouping(plan, seeded, tvrOf(_).exists(_.unbounded))
-    Compiled(emit, plan.schema, gates, ticks, PlanFrames.ofPlan(spark, lifted))
+    (ticks, PlanFrames.ofPlan(spark, TickLifting.lift(a.plan, ticks, ticked)))
   }
 
   private def wmOf(source: String) =
@@ -188,13 +190,14 @@ final class StreamSqlSession(val spark: SparkSession) {
       .watermark
 
   /** Whether a group (by its gate values) is complete at processing
-    * time p. Gate values are timestamps, since registration admits only
-    * TIMESTAMP event-time columns; a null one never completes.
+    * time p: every gate's every source watermark has passed. Gate values
+    * are timestamps, since registration admits only TIMESTAMP event-time
+    * columns; a null one never completes.
     */
-  private def groupComplete(c: Compiled, key: Seq[Any], p: Long): Boolean =
-    c.gates.zip(key).forall {
+  private def groupComplete(a: Analysis, key: Seq[Any], p: Long): Boolean =
+    a.gates.zip(key).forall {
       case ((_, al), t: java.sql.Timestamp) =>
-        wmOf(al.source).isComplete(Times.ms(t) + al.deltaMs, p, strict = al.strict)
+        al.sources.forall(wmOf(_).isComplete(Times.ms(t) + al.deltaMs, p, strict = al.strict))
       case _ => false
     }
 
@@ -209,39 +212,38 @@ final class StreamSqlSession(val spark: SparkSession) {
     * rendering with `undo`, `ptime`, `ver` columns (Extension 4).
     */
   def sql(sqlText: String, now: Long = Long.MaxValue / 2): DataFrame = {
-    val c = compile(sqlText, now)
-    if (c.emit.afterWatermark && c.gates.isEmpty)
-      throw new StreamSqlAnalysisException(
-        "EMIT AFTER WATERMARK requires a watermark-aligned event-time column " +
-          "in the query output (none found by alignment analysis)")
+    val a               = analyze(sqlText)
+    val (ticks, lifted) = lift(a, now)
     // One query computes every tick's snapshot, the tick in the last column.
-    val byTick = c.lifted.collect().groupBy(r => r.getLong(r.length - 1))
+    val byTick = lifted.collect().groupBy(r => r.getLong(r.length - 1))
     def snapshot(p: Long): Seq[Seq[Any]] = byTick.getOrElse(p, Array.empty[Row]).toSeq.map(_.toSeq.init)
-    if (c.emit.isDefaultTable) rowsDf(snapshot(now).map(Row.fromSeq), c.schema)
+    if (a.emit.isDefaultTable) rowsDf(snapshot(now).map(Row.fromSeq), a.plan.schema)
     else {
       // The state machine does the rest (Extensions 4–7; DESIGN.md
       // "Semantics pinned down").
-      val m = new EmitStateMachine(c.emit, groupKey(c, _), groupComplete(c, _, _))
-      c.ticks.foreach(p => m.tick(p, snapshot(p)))
+      val m = new EmitStateMachine(a.emit, groupKey(a, _), groupComplete(a, _, _))
+      ticks.foreach(p => m.tick(p, snapshot(p)))
       m.finish(now)
-      if (c.emit.stream) changelogDf(c, m.changelog)
-      else rowsDf(m.table.map(Row.fromSeq), c.schema)
+      if (a.emit.stream) changelogDf(a.plan.schema, m.changelog)
+      else rowsDf(m.table.map(Row.fromSeq), a.plan.schema)
     }
   }
 
-  /** The output alignment of a query's plan, for inspection/tests. */
+  /** The aligned output columns of a query, for inspection/tests. It
+    * fails where `sql` fails before lifting the query (see `analyze`).
+    */
   def alignmentOf(sqlText: String): Seq[(String, Align)] = {
-    val plan = analyze(sqlText)._2
-    EventTimeAlignment.outputAlignment(plan, seeds(plan))
+    val a = analyze(sqlText)
+    a.aligned.map { case (i, al) => a.plan.output(i).name -> al }
   }
 
   /** A local relation, so collecting a result launches no Spark job. */
   private def rowsDf(rows: Seq[Row], schema: StructType): DataFrame =
     spark.createDataFrame(rows.asJava, schema)
 
-  private def changelogDf(c: Compiled, changes: Seq[Change]): DataFrame = {
+  private def changelogDf(result: StructType, changes: Seq[Change]): DataFrame = {
     val schema = StructType(
-      c.schema.fields ++ Seq(
+      result.fields ++ Seq(
         StructField("undo", BooleanType, nullable = false),
         StructField("ptime", TimestampType, nullable = false),
         StructField("ver", IntegerType, nullable = false),

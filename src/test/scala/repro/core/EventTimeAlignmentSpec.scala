@@ -1,13 +1,15 @@
 package repro.core
 
-import repro.SparkSpec
+import org.scalacheck.{Gen, Prop}
+
+import repro.{PropSupport, SparkSpec}
 import repro.paperexample.PaperDataset
-import repro.tvr.Times
+import repro.tvr.{Times, Tvr, WatermarkTimeline}
 
 /** Section 5 lessons: which operators preserve watermark alignment of
   * event-time attributes, and Extension 2's GROUP BY requirement.
   */
-class EventTimeAlignmentSpec extends SparkSpec {
+class EventTimeAlignmentSpec extends SparkSpec with PropSupport {
 
   private lazy val session: StreamSqlSession = {
     val s = new StreamSqlSession(spark)
@@ -85,6 +87,62 @@ class EventTimeAlignmentSpec extends SparkSpec {
     }
     assert(s.alignmentOf(s"$bid UNION ALL $bid").toMap.get("bidtime") ==
       Some(EventTimeAlignment.Align("Bid", 0L, strict = true)))
+  }
+
+  /** A second stream of bids whose watermark lags Bid's: it passes 8:10
+    * at 8:18, two minutes after Bid's, just after W arrives.
+    */
+  private def ask: Tvr =
+    Tvr.ofRows(spark, PaperDataset.bidSchema, Seq(
+      (Times.hm("8:09"), false, Seq[Any](Times.ts(Times.hm("8:03")), 1, "X")),
+      (Times.hm("8:11"), false, Seq[Any](Times.ts(Times.hm("8:08")), 2, "Y")),
+      (Times.hm("8:17"), false, Seq[Any](Times.ts(Times.hm("8:09")), 7, "W")),
+    )).withWatermark("bidtime", WatermarkTimeline.ofHm("8:18" -> "8:10", "8:21" -> "8:20"))
+
+  /** Bid, Ask, and Bid2: Bid's rows with no event time. */
+  private lazy val unions: StreamSqlSession = {
+    val s = new StreamSqlSession(spark)
+    s.registerStream("Bid", PaperDataset.bidTvr(spark))
+    s.registerStream("Ask", ask)
+    s.registerStream("Bid2", PaperDataset.bidTvr(spark).copy(eventTime = None))
+    s
+  }
+
+  private def unionOf(streams: Seq[String]): String =
+    streams.map(t => s"SELECT bidtime, price, item FROM $t").mkString(" UNION ALL ")
+
+  private def tumbleCount(from: String): String =
+    s"""SELECT wstart, wend, COUNT(*) AS n
+       |FROM Tumble(data => TABLE($from), timecol => DESCRIPTOR(bidtime),
+       |            dur => INTERVAL '10' MINUTE)
+       |GROUP BY wstart, wend""".stripMargin
+
+  test("a UNION of two streams completes a window only when both watermarks pass, in either order") {
+    for (streams <- Seq(Seq("Bid", "Ask"), Seq("Ask", "Bid"))) withClue(s"${unionOf(streams)}: ") {
+      val df = unions.sql(tumbleCount(unionOf(streams)) + " EMIT STREAM AFTER WATERMARK", Times.hm("8:21"))
+      val out = df.collect().toSeq.map(_.toSeq.map {
+        case t: java.sql.Timestamp => Times.fmt(Times.ms(t))
+        case other                 => String.valueOf(other)
+      })
+      assert(out == Seq(
+        Seq("8:00", "8:10", "6", "false", "8:18", "0"),
+        Seq("8:10", "8:20", "3", "false", "8:21", "0")))
+    }
+  }
+
+  test("a UNION ALL's alignment and Extension 2 verdict do not depend on its branch order") {
+    /** Whether Extension 2 accepts a Tumble GROUP BY over `from`. */
+    def accepted(from: String): Boolean =
+      try { unions.alignmentOf(tumbleCount(from)); true }
+      catch { case e: StreamSqlAnalysisException if e.getMessage.contains("Extension 2") => false }
+    val branches = Gen.choose(2, 3).flatMap(Gen.listOfN(_, Gen.oneOf("Bid", "Ask", "Bid2")))
+    checkProp(Prop.forAll(branches) { streams =>
+      val verdicts = streams.permutations.map { order =>
+        val u = unionOf(order)
+        (unions.alignmentOf(u).toMap, accepted(u))
+      }.toSet
+      Prop(verdicts.size == 1) :| s"$streams: $verdicts"
+    }, minTests = 30)
   }
 
   // ------------------------------------------------ Extension 2 rule

@@ -143,7 +143,8 @@ class LiftedEvaluationSpec extends SparkSpec {
   }
 
   /** The evaluator's per-group key and completeness test for `sql`:
-    * gates on the aligned output columns, window bounds first.
+    * gates on the aligned output columns, window bounds first, each
+    * complete once every one of its sources' watermarks has passed.
     */
   private def gating(in: Input, sql: String, columns: Seq[String]) = {
     val aligned = in.sessions.head._2.alignmentOf(sql).map { case (c, al) => columns.indexOf(c) -> al }
@@ -151,7 +152,7 @@ class LiftedEvaluationSpec extends SparkSpec {
     def keyOf(row: Seq[Any]) = if (gates.isEmpty) row else gates.map { case (i, _) => row(i) }
     def complete(key: Seq[Any], p: Long) = gates.zip(key).forall {
       case ((_, al), t: java.sql.Timestamp) =>
-        in.watermarks(al.source).isComplete(Times.ms(t) + al.deltaMs, p, strict = al.strict)
+        al.sources.forall(in.watermarks(_).isComplete(Times.ms(t) + al.deltaMs, p, strict = al.strict))
       case _ => false
     }
     (keyOf _, complete _)

@@ -3,11 +3,13 @@ package repro.core
 import org.apache.spark.sql.DataFrame
 
 import repro.SparkSpec
+import repro.experiments.Experiments
 import repro.paperexample.PaperDataset
 import repro.tvr.Times
 
 /** Reproduces every result listing of the paper's Section 4 / 6 worked
-  * example (Listings 3–14) bit-for-bit on the Section 4 dataset.
+  * example (Listings 3–14) bit-for-bit on the Section 4 dataset. The
+  * paper's rows are typed once, in `Experiments.listings`.
   */
 class Q7ListingsSpec extends SparkSpec {
 
@@ -26,29 +28,23 @@ class Q7ListingsSpec extends SparkSpec {
   private def rows(df: DataFrame): Seq[Seq[String]] =
     df.collect().toSeq.map(_.toSeq.map(fmtCell)).sortBy(_.mkString("|"))
 
-  /** Changelog rows in emission order (ptime, then ver within group). */
-  private def changelogRows(df: DataFrame): Seq[Seq[String]] =
-    df.collect().toSeq.map(_.toSeq.map(fmtCell))
-
   private def at(hm: String): Long = Times.hm(hm)
+
+  /** The twelve listings, computed once; each test below asserts one
+    * equal to the paper's rows.
+    */
+  private lazy val listings = Experiments.listings(spark).map(l => l.id -> l).toMap
+
+  private def assertListing(id: String): Unit = {
+    val l = listings(id)
+    assert(l.produced == l.paper, l.rendered)
+  }
 
   // ---------------------------------------------------------------- L3/L4
 
-  test("Listing 3: Q7 table view over the full dataset at 8:21") {
-    val df = session.sql(PaperDataset.q7Sql, at("8:21"))
-    assert(rows(df) == Seq(
-      Seq("8:00", "8:10", "8:09", "5", "D"),
-      Seq("8:10", "8:20", "8:17", "6", "F"),
-    ))
-  }
+  test("Listing 3: Q7 table view over the full dataset at 8:21") { assertListing("L3") }
 
-  test("Listing 4: Q7 table view over the partial dataset at 8:13") {
-    val df = session.sql(PaperDataset.q7Sql, at("8:13"))
-    assert(rows(df) == Seq(
-      Seq("8:00", "8:10", "8:05", "4", "C"),
-      Seq("8:10", "8:20", "8:11", "3", "B"),
-    ))
-  }
+  test("Listing 4: Q7 table view over the partial dataset at 8:13") { assertListing("L4") }
 
   test("Q7 table view just before any bid arrives is empty") {
     assert(rows(session.sql(PaperDataset.q7Sql, at("8:07"))).isEmpty)
@@ -61,112 +57,33 @@ class Q7ListingsSpec extends SparkSpec {
 
   // ---------------------------------------------------------------- L5..L8
 
-  test("Listing 5: Tumble TVF assigns each bid to its 10-minute window") {
-    val df = session.sql(PaperDataset.tumbleSql, at("8:21"))
-    assert(rows(df) == Seq(
-      Seq("8:00", "8:10", "8:05", "4", "C"),
-      Seq("8:00", "8:10", "8:07", "2", "A"),
-      Seq("8:00", "8:10", "8:09", "5", "D"),
-      Seq("8:10", "8:20", "8:11", "3", "B"),
-      Seq("8:10", "8:20", "8:13", "1", "E"),
-      Seq("8:10", "8:20", "8:17", "6", "F"),
-    ))
-  }
+  test("Listing 5: Tumble TVF assigns each bid to its 10-minute window") { assertListing("L5") }
 
-  test("Listing 6: Tumble + GROUP BY computes per-window max price") {
-    val df = session.sql(PaperDataset.tumbleGroupSql, at("8:21"))
-    assert(rows(df) == Seq(
-      Seq("8:00", "8:10", "5"),
-      Seq("8:10", "8:20", "6"),
-    ))
-  }
+  test("Listing 6: Tumble + GROUP BY computes per-window max price") { assertListing("L6") }
 
-  test("Listing 7: Hop TVF assigns each bid to two overlapping windows") {
-    val df = session.sql(PaperDataset.hopSql, at("8:21"))
-    assert(rows(df) == Seq(
-      Seq("8:00", "8:10", "8:05", "4", "C"),
-      Seq("8:00", "8:10", "8:07", "2", "A"),
-      Seq("8:00", "8:10", "8:09", "5", "D"),
-      Seq("8:05", "8:15", "8:05", "4", "C"),
-      Seq("8:05", "8:15", "8:07", "2", "A"),
-      Seq("8:05", "8:15", "8:09", "5", "D"),
-      Seq("8:05", "8:15", "8:11", "3", "B"),
-      Seq("8:05", "8:15", "8:13", "1", "E"),
-      Seq("8:10", "8:20", "8:11", "3", "B"),
-      Seq("8:10", "8:20", "8:13", "1", "E"),
-      Seq("8:10", "8:20", "8:17", "6", "F"),
-      Seq("8:15", "8:25", "8:17", "6", "F"),
-    ))
-  }
+  test("Listing 7: Hop TVF assigns each bid to two overlapping windows") { assertListing("L7") }
 
-  test("Listing 8: Hop + GROUP BY computes per-hop-window max price") {
-    val df = session.sql(PaperDataset.hopGroupSql, at("8:21"))
-    assert(rows(df) == Seq(
-      Seq("8:00", "8:10", "5"),
-      Seq("8:05", "8:15", "5"),
-      Seq("8:10", "8:20", "6"),
-      Seq("8:15", "8:25", "6"),
-    ))
-  }
+  test("Listing 8: Hop + GROUP BY computes per-hop-window max price") { assertListing("L8") }
 
   // ---------------------------------------------------------------- L9
 
-  test("Listing 9: EMIT STREAM renders the Q7 changelog with undo/ptime/ver") {
-    val df = session.sql(PaperDataset.q7Sql + " EMIT STREAM", at("8:21"))
-    assert(changelogRows(df) == Seq(
-      Seq("8:00", "8:10", "8:07", "2", "A", "false", "8:08", "0"),
-      Seq("8:10", "8:20", "8:11", "3", "B", "false", "8:12", "0"),
-      Seq("8:00", "8:10", "8:07", "2", "A", "true",  "8:13", "1"),
-      Seq("8:00", "8:10", "8:05", "4", "C", "false", "8:13", "2"),
-      Seq("8:00", "8:10", "8:05", "4", "C", "true",  "8:15", "3"),
-      Seq("8:00", "8:10", "8:09", "5", "D", "false", "8:15", "4"),
-      Seq("8:10", "8:20", "8:11", "3", "B", "true",  "8:18", "1"),
-      Seq("8:10", "8:20", "8:17", "6", "F", "false", "8:18", "2"),
-    ))
-  }
+  test("Listing 9: EMIT STREAM renders the Q7 changelog with undo/ptime/ver") { assertListing("L9") }
 
   // ---------------------------------------------------------------- L10..L12
 
-  test("Listing 10: EMIT AFTER WATERMARK at 8:13 materializes nothing") {
-    val df = session.sql(PaperDataset.q7Sql + " EMIT AFTER WATERMARK", at("8:13"))
-    assert(rows(df).isEmpty)
-  }
+  test("Listing 10: EMIT AFTER WATERMARK at 8:13 materializes nothing") { assertListing("L10") }
 
-  test("Listing 11: EMIT AFTER WATERMARK at 8:16 materializes the first window") {
-    val df = session.sql(PaperDataset.q7Sql + " EMIT AFTER WATERMARK", at("8:16"))
-    assert(rows(df) == Seq(Seq("8:00", "8:10", "8:09", "5", "D")))
-  }
+  test("Listing 11: EMIT AFTER WATERMARK at 8:16 materializes the first window") { assertListing("L11") }
 
-  test("Listing 12: EMIT AFTER WATERMARK at 8:21 materializes both windows") {
-    val df = session.sql(PaperDataset.q7Sql + " EMIT AFTER WATERMARK", at("8:21"))
-    assert(rows(df) == Seq(
-      Seq("8:00", "8:10", "8:09", "5", "D"),
-      Seq("8:10", "8:20", "8:17", "6", "F"),
-    ))
-  }
+  test("Listing 12: EMIT AFTER WATERMARK at 8:21 materializes both windows") { assertListing("L12") }
 
   // ---------------------------------------------------------------- L13
 
-  test("Listing 13: EMIT STREAM AFTER WATERMARK emits one final row per window") {
-    val df = session.sql(PaperDataset.q7Sql + " EMIT STREAM AFTER WATERMARK", at("8:21"))
-    assert(changelogRows(df) == Seq(
-      Seq("8:00", "8:10", "8:09", "5", "D", "false", "8:16", "0"),
-      Seq("8:10", "8:20", "8:17", "6", "F", "false", "8:21", "0"),
-    ))
-  }
+  test("Listing 13: EMIT STREAM AFTER WATERMARK emits one final row per window") { assertListing("L13") }
 
   // ---------------------------------------------------------------- L14
 
-  test("Listing 14: EMIT STREAM AFTER DELAY 6 minutes coalesces updates") {
-    val df = session.sql(
-      PaperDataset.q7Sql + " EMIT STREAM AFTER DELAY INTERVAL '6' MINUTES", at("8:21"))
-    assert(changelogRows(df) == Seq(
-      Seq("8:00", "8:10", "8:05", "4", "C", "false", "8:14", "0"),
-      Seq("8:10", "8:20", "8:17", "6", "F", "false", "8:18", "0"),
-      Seq("8:00", "8:10", "8:05", "4", "C", "true",  "8:21", "1"),
-      Seq("8:00", "8:10", "8:09", "5", "D", "false", "8:21", "2"),
-    ))
-  }
+  test("Listing 14: EMIT STREAM AFTER DELAY 6 minutes coalesces updates") { assertListing("L14") }
 
   // ------------------------------------------------- general invariants
 

@@ -244,6 +244,16 @@ class StreamSqlSessionSpec extends SparkSpec {
     intercept[StreamSqlAnalysisException](s.sql(sql, Times.hm("8:21")))
   }
 
+  test("an Extension 2 violation fails in alignmentOf as in sql()") {
+    val e = analysisError("SELECT item, COUNT(*) c FROM Bid GROUP BY item")
+    assert(e.getMessage.contains("Extension 2"), e.getMessage)
+  }
+
+  test("EMIT AFTER WATERMARK without a gate fails in alignmentOf as in sql()") {
+    val e = analysisError("SELECT item FROM Bid EMIT AFTER WATERMARK")
+    assert(e.getMessage.contains("watermark-aligned"), e.getMessage)
+  }
+
   test("a syntax error is a StreamSqlAnalysisException caused by Spark's ParseException") {
     assert(analysisError("SELECT item FROM Bid WHERE price >").getCause.isInstanceOf[ParseException])
   }
@@ -269,15 +279,22 @@ class StreamSqlSessionSpec extends SparkSpec {
   }
 
   test("an operator that cannot be lifted over ticks fails inside sql()") {
-    for ((sql, what) <- Seq(
-        "SELECT item FROM Bid LIMIT 1 EMIT STREAM" -> "Limit",
-        "SELECT item FROM Bid WHERE price > (SELECT MIN(price) FROM Bid) EMIT STREAM" -> "subquery",
-        "SELECT item FROM Bid LIMIT 1" -> "Limit",
-        """SELECT T.wstart, T.wend, T.item, MAX(T.price) AS maxprice
-          |FROM Tumble(data => TABLE(Bid), timecol => DESCRIPTOR(bidtime), dur => INTERVAL '10' MINUTES) T
-          |GROUP BY GROUPING SETS ((T.wstart, T.wend, T.item), (T.wstart, T.wend))
-          |EMIT STREAM""".stripMargin -> "Expand")) {
-      val e = intercept[StreamSqlAnalysisException](newSession.sql(sql, Times.hm("8:21")))
+    val groupingSets =
+      """SELECT T.wstart, T.wend, T.item, MAX(T.price) AS maxprice
+        |FROM Tumble(data => TABLE(Bid), timecol => DESCRIPTOR(bidtime), dur => INTERVAL '10' MINUTES) T
+        |GROUP BY GROUPING SETS ((T.wstart, T.wend, T.item), (T.wstart, T.wend))
+        |EMIT STREAM""".stripMargin
+    // Expand's grouping keys carry no alignment, so over the stream Bid
+    // Extension 2, checked before the lifting, fails first.
+    val bounded = new StreamSqlSession(spark)
+    bounded.registerBoundedTvr("Bid", PaperDataset.bidTvr(spark))
+    for ((session, sql, what) <- Seq(
+        (newSession, "SELECT item FROM Bid LIMIT 1 EMIT STREAM", "Limit"),
+        (newSession, "SELECT item FROM Bid WHERE price > (SELECT MIN(price) FROM Bid) EMIT STREAM", "subquery"),
+        (newSession, "SELECT item FROM Bid LIMIT 1", "Limit"),
+        (bounded, groupingSets, "Expand"),
+        (newSession, groupingSets, "Extension 2"))) {
+      val e = intercept[StreamSqlAnalysisException](session.sql(sql, Times.hm("8:21")))
       assert(e.getMessage.contains(what), e.getMessage)
     }
   }
